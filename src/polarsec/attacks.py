@@ -367,28 +367,6 @@ def rn_attack(
 # decrypting with a recovered matrix
 # ---------------------------------------------------------------------------
 
-def _pivot_columns(dense: np.ndarray) -> np.ndarray:
-    work = dense.copy()
-    rows, cols = work.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(work[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        hit = np.nonzero(work[:, c])[0]
-        hit = hit[hit != r]
-        work[hit] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return np.asarray(pivots, dtype=np.int64)
-
-
 def attack_decrypt(
     matrix: GF2Matrix, error_words: np.ndarray, ciphertext: np.ndarray
 ) -> list[np.ndarray]:
@@ -398,7 +376,7 @@ def attack_decrypt(
     matrix and saturated error space exactly one message survives.
     """
     dense = matrix.to_dense()
-    pivots = _pivot_columns(dense)
+    pivots = matrix.pivots()
     if pivots.size != matrix.nrows:
         raise ValueError("matrix must have full row rank")
     a_inv = GF2Matrix.from_dense(dense[:, pivots]).inverse()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf2 import GF2Matrix, mul_bits_matrix
-from .keys import SecretKey, compress_permutation, perm_offsets_to_dst
+from .keys import SecretKey, perm_offsets_to_dst
 from .lfsr import Lfsr
 from .polar import FrozenPlan, generator_submatrix, polar_transform, sc_decode_batch
 
@@ -53,12 +53,11 @@ class CipherContext:
 
     def __init__(self, key: SecretKey, start_block: int = 0):
         p = key.params
-        offsets = compress_permutation(key.permutation, p)
         self._init_components(
             n=p.n,
             info_indices=np.asarray(key.info_indices, dtype=np.int64),
             scrambler=key.scrambler,
-            perm_dst=perm_offsets_to_dst(np.asarray(offsets, dtype=np.int64), p.l),
+            perm_dst=perm_offsets_to_dst(key.permutation_offsets, p.l),
             taps=p.taps,
             lfsr_state=np.asarray(key.lfsr_state, dtype=np.uint8),
             start_block=start_block,

@@ -8,6 +8,7 @@ infeasible by design).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -48,6 +49,7 @@ from .keys import (
     deserialize_key,
     generate_key,
     reference_params,
+    scrambler_invertible,
     serialize_key,
 )
 from .lfsr import taps_for_degree
@@ -130,9 +132,6 @@ def _params_from_args(args) -> KeyParams:
     l = args.l if args.l is not None else max(1, size // n0)
     k0 = args.k0 if args.k0 is not None else min(ref.k0, n0 - 1)
     mu_s = args.mu_s if args.mu_s is not None else min(ref.mu_s, l)
-    if args.mu_s is None and k0 == 1 and mu_s % 2 == 0:
-        # a single block with even row weight is always singular
-        mu_s = 1
     epsilon = args.epsilon if args.epsilon is not None else ref.epsilon
     mu = args.mu if args.mu is not None else SCALING_EXPONENT_BEC
     k = k0 * l
@@ -141,8 +140,12 @@ def _params_from_args(args) -> KeyParams:
     else:
         pool = min(size, max(k, default_pool(n, epsilon, mu)))
     taps = taps_for_degree(size - k)
-    return KeyParams(n=n, k0=k0, n0=n0, l=l, mu_s=mu_s, epsilon=epsilon,
-                     pool=pool, taps=taps)
+    params = KeyParams(n=n, k0=k0, n0=n0, l=l, mu_s=mu_s, epsilon=epsilon,
+                       pool=pool, taps=taps)
+    if args.mu_s is None and not scrambler_invertible(params):
+        # the default weight admits no invertible scrambler at this shape
+        params = dataclasses.replace(params, mu_s=1)
+    return params
 
 
 def _read_bytes(path: str) -> bytes:

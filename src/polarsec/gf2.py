@@ -147,10 +147,19 @@ class GF2Matrix:
 
     # ---- elimination --------------------------------------------------
 
-    def rank(self) -> int:
+    def pivots(self) -> np.ndarray:
+        """Pivot columns of forward elimination, ascending.
+
+        Their count is the rank, and the columns they name are linearly
+        independent, so they pick an invertible square submatrix of a
+        matrix with full row rank.
+        """
         work = self.words.copy()
+        found: list[int] = []
         r = 0
         for col in range(self.ncols):
+            if r == self.nrows:
+                break
             w, b = divmod(col, WORD_BITS)
             colbits = (work[r:, w] >> np.uint64(b)) & np.uint64(1)
             piv = np.nonzero(colbits)[0]
@@ -162,10 +171,12 @@ class GF2Matrix:
             below = (work[r + 1 :, w] >> np.uint64(b)) & np.uint64(1)
             hit = np.nonzero(below)[0] + r + 1
             work[hit] ^= work[r]
+            found.append(col)
             r += 1
-            if r == self.nrows:
-                break
-        return r
+        return np.asarray(found, dtype=np.int64)
+
+    def rank(self) -> int:
+        return len(self.pivots())
 
     def is_nonsingular(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

@@ -5,44 +5,52 @@ A secret key has four parts:
 * ``info_indices`` — K synthetic-channel indices (1-based) drawn from the
   most-reliable ``pool`` channels of the design-time reliability table;
 * ``lfsr_state`` — the (N-K)-bit initial fill of the syndrome register;
-* ``scrambler`` — a nonsingular K x K block-circulant matrix S built from
-  k0 x k0 circulant blocks of size l x l, each block drawn with ``mu_s``
-  ones in its first row (plus a diagonal parity lift, see below);
-* ``permutation`` — an N x N block-diagonal matrix P of n0 cyclic-shift
-  blocks, one shift offset per block.
+* ``scrambler_positions`` — the K x K block-circulant scrambler S, stored
+  as the 1-based first-row positions of its k0 x k0 circulant blocks of
+  size l x l, ``mu_s`` ascending positions per block, blocks row-major
+  (plus a diagonal parity lift, see below);
+* ``permutation_offsets`` — the N x N block-diagonal permutation P, stored
+  as one 0-based cyclic-shift offset for each of its n0 blocks.
 
-Both matrices compress to a few positions/offsets, which is what the
-serialized key stores.
+This compact form is the key: it is what is drawn, validated, stored and
+used.  The dense scrambler is a view built on first use; the codecs
+between the dense matrices and the compact form remain for checking the
+structure of a given matrix.
 
-Scrambler lift
---------------
-With k0 >= 2 equal-weight circulant blocks the naive construction is
-always singular: every block of size l = 2**a satisfies x**l - 1 =
-(x + 1)**l over GF(2), so rank deficiency reduces to the k0 x k0 matrix
-of block weight parities, which is constant (mu_s mod 2) in every cell
-and therefore has rank <= 1.  We therefore XOR the identity onto the
-drawn matrix when k0 >= 2 ("diagonal parity lift"): diagonal blocks stay
-circulant with first-row weight mu_s +/- 1, the compressed form is
-unchanged, and the parity argument now guarantees nonsingularity
-whenever mu_s is even, or mu_s is odd with k0 even.  Draws are still
-rejection-tested and a generation error is raised if no nonsingular
-draw is found.
+Scrambler lift and invertibility
+--------------------------------
+l divides N = 2**n, so l is a power of two and x**l - 1 = (x + 1)**l over
+GF(2).  The l x l circulants therefore form the local ring
+R = GF(2)[x]/((x + 1)**l), whose residue field GF(2) is reached by
+reducing modulo x + 1, which maps a circulant to the parity of its
+first-row weight.  Circulants commute, so S is a k0 x k0 matrix over R,
+and it is invertible exactly when its determinant is a unit of R, that
+is, exactly when its image over GF(2) is invertible.  Every drawn block
+has weight mu_s, so that image is (mu_s mod 2) J, J the all-ones k0 x k0
+matrix, of rank <= 1.  With k0 >= 2 we therefore XOR the identity onto
+the drawn matrix ("diagonal parity lift"): diagonal blocks stay
+circulant, the compact form is unchanged, and the image becomes
+(mu_s mod 2) J + I.  That is I for even mu_s; for odd mu_s it squares to
+I when k0 is even and has the all-ones vector in its kernel when k0 is
+odd.  Without the lift (k0 = 1) the image is mu_s mod 2.  So whether S is
+invertible depends on the parameters alone, never on the draw
+(:func:`scrambler_invertible`): key generation draws once, and loading a
+key needs no rank.
 """
 from __future__ import annotations
 
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .gf2 import GF2Matrix, SingularMatrixError
+from .gf2 import GF2Matrix
 from .lfsr import validate_taps
 from .polar import ReliabilityTable, bhattacharyya
 
 MAGIC = b"PKC1"
-
-DEFAULT_MAX_SCRAMBLER_ATTEMPTS = 100
 
 
 class KeyFormatError(ValueError):
@@ -50,7 +58,7 @@ class KeyFormatError(ValueError):
 
 
 class KeyGenerationError(RuntimeError):
-    """Random generation failed to produce a usable component."""
+    """The parameters admit no usable component (no invertible scrambler)."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +148,18 @@ def reference_params() -> KeyParams:
     )
 
 
+def scrambler_invertible(params: KeyParams) -> bool:
+    """Whether every scrambler of this shape is invertible (else none is).
+
+    S is invertible exactly when (mu_s mod 2) J + [k0 >= 2] I is invertible
+    over GF(2); see the module docstring.
+    """
+    odd = params.mu_s % 2 == 1
+    if not params.uses_lift:
+        return odd
+    return not odd or params.k0 % 2 == 0
+
+
 # ---------------------------------------------------------------------------
 # component generation
 # ---------------------------------------------------------------------------
@@ -155,48 +175,77 @@ def select_secret_indices(
     return np.sort(chosen.astype(np.int64))
 
 
-def _assemble_scrambler(positions: np.ndarray, params: KeyParams, lift: bool) -> np.ndarray:
+def _draw_scrambler_positions(params: KeyParams, rng: np.random.Generator) -> tuple[int, ...]:
+    """``mu_s`` distinct first-row positions (1-based, ascending) per block,
+    blocks row-major.  Raises ``KeyGenerationError`` before drawing when
+    no scrambler of this shape is invertible."""
+    if not scrambler_invertible(params):
+        raise KeyGenerationError(
+            f"no scrambler with k0={params.k0}, mu_s={params.mu_s} is invertible "
+            f"(l={params.l})"
+        )
+    return tuple(
+        int(p) + 1
+        for _ in range(params.k0 * params.k0)
+        for p in np.sort(rng.choice(params.l, size=params.mu_s, replace=False))
+    )
+
+
+def _draw_permutation_offsets(params: KeyParams, rng: np.random.Generator) -> tuple[int, ...]:
+    """One uniform cyclic-shift offset (0-based) per permutation block."""
+    return tuple(int(f) for f in rng.integers(0, params.l, size=params.n0, dtype=np.int64))
+
+
+def _check_scrambler_positions(positions, params: KeyParams) -> np.ndarray:
+    """The 1-based positions as a (k0, k0, mu_s) array; ``KeyFormatError``
+    unless every block holds ``mu_s`` ascending positions in 1..l."""
+    k0, l, mu = params.k0, params.l, params.mu_s
+    expected = mu * k0 * k0
+    if len(positions) != expected:
+        raise KeyFormatError(f"expected {expected} scrambler positions, got {len(positions)}")
+    arr = np.asarray(positions, dtype=np.int64).reshape(k0, k0, mu)
+    if arr.min() < 1 or arr.max() > l:
+        raise KeyFormatError(f"scrambler positions must lie in 1..{l}")
+    bad = np.argwhere((np.diff(arr, axis=2) <= 0).any(axis=2))
+    if bad.size:
+        bj, bk = bad[0]
+        raise KeyFormatError(f"positions of block ({bj},{bk}) must be distinct and ascending")
+    return arr
+
+
+def _check_permutation_offsets(offsets, params: KeyParams) -> np.ndarray:
+    """The offsets as an array; ``KeyFormatError`` unless there are n0 of
+    them in 0..l-1."""
+    if len(offsets) != params.n0:
+        raise KeyFormatError(f"expected {params.n0} permutation offsets, got {len(offsets)}")
+    arr = np.asarray(offsets, dtype=np.int64)
+    if arr.min() < 0 or arr.max() >= params.l:
+        raise KeyFormatError(f"permutation offsets must lie in 0..{params.l - 1}")
+    return arr
+
+
+def _assemble_scrambler(positions: np.ndarray, params: KeyParams) -> np.ndarray:
     """Dense K x K scrambler from (k0, k0, mu_s) 0-based first-row positions."""
-    k0, l = params.k0, params.l
+    l = params.l
     dense = np.zeros((params.num_info, params.num_info), dtype=np.uint8)
-    shifts = np.arange(l)
-    for bj in range(k0):
-        for bk in range(k0):
-            cols = (positions[bj, bk][None, :] + shifts[:, None]) % l
-            block = np.zeros((l, l), dtype=np.uint8)
-            block[shifts[:, None], cols] = 1
-            dense[bj * l : (bj + 1) * l, bk * l : (bk + 1) * l] = block
-    if lift:
+    rows = np.arange(l)[:, None]
+    for bj in range(params.k0):
+        for bk in range(params.k0):
+            dense[bj * l + rows, bk * l + (positions[bj, bk][None, :] + rows) % l] = 1
+    if params.uses_lift:
         dense[np.arange(params.num_info), np.arange(params.num_info)] ^= 1
     return dense
 
 
-def gen_scrambler(
-    params: KeyParams,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_SCRAMBLER_ATTEMPTS,
-) -> GF2Matrix:
-    """Draw a nonsingular block-circulant scrambler.
+def gen_scrambler(params: KeyParams, rng: np.random.Generator) -> GF2Matrix:
+    """Draw a block-circulant scrambler, invertible by construction.
 
     Each of the k0*k0 blocks gets ``mu_s`` uniformly-drawn first-row
-    positions; with k0 >= 2 the diagonal parity lift is applied (see
-    module docstring).  Draws failing the invertibility check are
-    rejected; ``KeyGenerationError`` after ``max_attempts``.
+    positions; with k0 >= 2 the diagonal parity lift is applied.  Raises
+    ``KeyGenerationError`` when the shape admits no invertible scrambler
+    (see module docstring).
     """
-    k0, l, mu = params.k0, params.l, params.mu_s
-    for _ in range(max_attempts):
-        positions = np.empty((k0, k0, mu), dtype=np.int64)
-        for bj in range(k0):
-            for bk in range(k0):
-                positions[bj, bk] = np.sort(rng.choice(l, size=mu, replace=False))
-        dense = _assemble_scrambler(positions, params, params.uses_lift)
-        candidate = GF2Matrix.from_dense(dense)
-        if candidate.is_nonsingular():
-            return candidate
-    raise KeyGenerationError(
-        f"no nonsingular scrambler found in {max_attempts} attempts "
-        f"(k0={k0}, l={l}, mu_s={mu})"
-    )
+    return decompress_scrambler(_draw_scrambler_positions(params, rng), params)
 
 
 def compress_scrambler(scrambler: GF2Matrix, params: KeyParams) -> tuple[int, ...]:
@@ -234,22 +283,8 @@ def compress_scrambler(scrambler: GF2Matrix, params: KeyParams) -> tuple[int, ..
 
 def decompress_scrambler(positions: tuple[int, ...], params: KeyParams) -> GF2Matrix:
     """Rebuild the scrambler matrix from 1-based first-row positions."""
-    k0, l, mu = params.k0, params.l, params.mu_s
-    expected = mu * k0 * k0
-    if len(positions) != expected:
-        raise KeyFormatError(f"expected {expected} scrambler positions, got {len(positions)}")
-    arr = np.asarray(positions, dtype=np.int64).reshape(k0, k0, mu)
-    if arr.min() < 1 or arr.max() > l:
-        raise KeyFormatError(f"scrambler positions must lie in 1..{l}")
-    for bj in range(k0):
-        for bk in range(k0):
-            blockpos = arr[bj, bk]
-            if np.unique(blockpos).size != mu or np.any(np.diff(blockpos) <= 0):
-                raise KeyFormatError(
-                    f"positions of block ({bj},{bk}) must be distinct and ascending"
-                )
-    dense = _assemble_scrambler(arr - 1, params, params.uses_lift)
-    return GF2Matrix.from_dense(dense)
+    arr = _check_scrambler_positions(positions, params)
+    return GF2Matrix.from_dense(_assemble_scrambler(arr - 1, params))
 
 
 def perm_offsets_to_dst(offsets: np.ndarray, l: int) -> np.ndarray:
@@ -265,8 +300,7 @@ def perm_offsets_to_dst(offsets: np.ndarray, l: int) -> np.ndarray:
 
 def gen_permutation(params: KeyParams, rng: np.random.Generator) -> GF2Matrix:
     """Draw the block-diagonal permutation: one cyclic shift per block."""
-    offsets = rng.integers(0, params.l, size=params.n0, dtype=np.int64)
-    return decompress_permutation(tuple(int(f) for f in offsets), params)
+    return decompress_permutation(_draw_permutation_offsets(params, rng), params)
 
 
 def compress_permutation(perm: GF2Matrix, params: KeyParams) -> tuple[int, ...]:
@@ -291,15 +325,10 @@ def compress_permutation(perm: GF2Matrix, params: KeyParams) -> tuple[int, ...]:
 
 def decompress_permutation(offsets: tuple[int, ...], params: KeyParams) -> GF2Matrix:
     """Rebuild the permutation matrix from per-block shift offsets."""
-    if len(offsets) != params.n0:
-        raise KeyFormatError(f"expected {params.n0} permutation offsets, got {len(offsets)}")
-    arr = np.asarray(offsets, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= params.l:
-        raise KeyFormatError(f"permutation offsets must lie in 0..{params.l - 1}")
+    arr = _check_permutation_offsets(offsets, params)
     size = params.block_length
-    dst = perm_offsets_to_dst(arr, params.l)
     dense = np.zeros((size, size), dtype=np.uint8)
-    dense[np.arange(size), dst] = 1
+    dense[np.arange(size), perm_offsets_to_dst(arr, params.l)] = 1
     return GF2Matrix.from_dense(dense)
 
 
@@ -312,43 +341,26 @@ def gen_lfsr_state(params: KeyParams, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# key objects
+# key object
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class SecretKey:
-    """Fully materialized secret key."""
+    """Secret key in its compact form (see the module docstring)."""
 
     params: KeyParams
     info_indices: np.ndarray = field(repr=False)
     lfsr_state: np.ndarray = field(repr=False)
-    scrambler: GF2Matrix = field(repr=False)
-    permutation: GF2Matrix = field(repr=False)
+    scrambler_positions: tuple[int, ...] = field(repr=False)
+    permutation_offsets: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def scrambler(self) -> GF2Matrix:
+        """The dense K x K scrambler S, built on first use."""
+        return decompress_scrambler(self.scrambler_positions, self.params)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SecretKey):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and np.array_equal(self.info_indices, other.info_indices)
-            and np.array_equal(self.lfsr_state, other.lfsr_state)
-            and self.scrambler == other.scrambler
-            and self.permutation == other.permutation
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class CompressedKey:
-    """Compact key: matrices replaced by positions/offsets."""
-
-    params: KeyParams
-    info_indices: np.ndarray = field(repr=False)
-    lfsr_state: np.ndarray = field(repr=False)
-    scrambler_positions: tuple[int, ...]
-    permutation_offsets: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CompressedKey):
             return NotImplemented
         return (
             self.params == other.params
@@ -364,34 +376,14 @@ def generate_key(params: KeyParams, rng: np.random.Generator) -> SecretKey:
     table = params.reliability_table()
     indices = select_secret_indices(table, params.pool, params.num_info, rng)
     state = gen_lfsr_state(params, rng)
-    scrambler = gen_scrambler(params, rng)
-    permutation = gen_permutation(params, rng)
+    positions = _draw_scrambler_positions(params, rng)
+    offsets = _draw_permutation_offsets(params, rng)
     return SecretKey(
         params=params,
         info_indices=indices,
         lfsr_state=state,
-        scrambler=scrambler,
-        permutation=permutation,
-    )
-
-
-def compress_key(key: SecretKey) -> CompressedKey:
-    return CompressedKey(
-        params=key.params,
-        info_indices=key.info_indices.copy(),
-        lfsr_state=key.lfsr_state.copy(),
-        scrambler_positions=compress_scrambler(key.scrambler, key.params),
-        permutation_offsets=compress_permutation(key.permutation, key.params),
-    )
-
-
-def decompress_key(ck: CompressedKey) -> SecretKey:
-    return SecretKey(
-        params=ck.params,
-        info_indices=np.asarray(ck.info_indices, dtype=np.int64).copy(),
-        lfsr_state=np.asarray(ck.lfsr_state, dtype=np.uint8).copy(),
-        scrambler=decompress_scrambler(ck.scrambler_positions, ck.params),
-        permutation=decompress_permutation(ck.permutation_offsets, ck.params),
+        scrambler_positions=positions,
+        permutation_offsets=offsets,
     )
 
 
@@ -418,10 +410,12 @@ def validate_key(key: SecretKey, table: ReliabilityTable | None = None) -> None:
         raise KeyFormatError(f"LFSR state must have length {p.num_frozen}")
     if state.max(initial=0) > 1 or not state.any():
         raise KeyFormatError("LFSR state must be a non-zero bit vector")
-    compress_scrambler(key.scrambler, p)  # structural check
-    if not key.scrambler.is_nonsingular():
-        raise KeyFormatError("scrambler matrix is singular")
-    compress_permutation(key.permutation, p)
+    _check_scrambler_positions(key.scrambler_positions, p)
+    if not scrambler_invertible(p):
+        raise KeyFormatError(
+            f"scrambler is singular: k0={p.k0}, mu_s={p.mu_s} admits no invertible one"
+        )
+    _check_permutation_offsets(key.permutation_offsets, p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +423,24 @@ def validate_key(key: SecretKey, table: ReliabilityTable | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def serialize_key(key: SecretKey) -> bytes:
-    """Binary key file: header, compressed components, CRC32 trailer.
+    """Binary key file: header, compact components, CRC32 trailer.
 
     All integers little-endian; bit vectors packed LSB-first; indices
     and positions stored 0-based on disk.
     """
-    ck = compress_key(key)
-    p = ck.params
+    p = key.params
     out = bytearray()
     out += MAGIC
     out += struct.pack("<BHHHBBB", p.n, p.num_info, p.pool, p.l, p.n0, p.k0, p.mu_s)
     out += struct.pack("<d", p.epsilon)
     out += struct.pack("<B", len(p.taps))
     out += struct.pack(f"<{len(p.taps)}H", *p.taps)
-    out += np.packbits(ck.lfsr_state, bitorder="little").tobytes()
-    out += struct.pack(f"<{p.num_info}H", *(int(i) - 1 for i in ck.info_indices))
+    out += np.packbits(key.lfsr_state, bitorder="little").tobytes()
+    out += struct.pack(f"<{p.num_info}H", *(int(i) - 1 for i in key.info_indices))
     out += struct.pack(
-        f"<{len(ck.scrambler_positions)}H", *(s - 1 for s in ck.scrambler_positions)
+        f"<{len(key.scrambler_positions)}H", *(s - 1 for s in key.scrambler_positions)
     )
-    out += struct.pack(f"<{p.n0}H", *ck.permutation_offsets)
+    out += struct.pack(f"<{p.n0}H", *key.permutation_offsets)
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
 
@@ -472,8 +465,8 @@ def deserialize_key(data: bytes) -> SecretKey:
     """Parse and fully validate a serialized key.
 
     Raises ``KeyFormatError`` for bad magic, truncation, CRC mismatch,
-    out-of-range fields, malformed structure, or indices outside the
-    reliability pool.
+    out-of-range fields, malformed structure, indices outside the
+    reliability pool, or parameters that admit no invertible scrambler.
     """
     if len(data) < len(MAGIC) + 4:
         raise KeyFormatError("key file too short")
@@ -509,27 +502,18 @@ def deserialize_key(data: bytes) -> SecretKey:
     lfsr_state = state_bits[: params.num_frozen].copy()
 
     raw_idx = r.unpack(f"<{k}H")
-    info_indices = np.asarray(raw_idx, dtype=np.int64) + 1
     n_pos = params.mu_s * params.k0 * params.k0
     raw_pos = r.unpack(f"<{n_pos}H")
-    scrambler_positions = tuple(int(s) + 1 for s in raw_pos)
     raw_off = r.unpack(f"<{params.n0}H")
     if r.pos != len(body):
         raise KeyFormatError(f"{len(body) - r.pos} unexpected trailing bytes")
 
-    ck = CompressedKey(
+    key = SecretKey(
         params=params,
-        info_indices=info_indices,
+        info_indices=np.asarray(raw_idx, dtype=np.int64) + 1,
         lfsr_state=lfsr_state,
-        scrambler_positions=scrambler_positions,
+        scrambler_positions=tuple(int(s) + 1 for s in raw_pos),
         permutation_offsets=tuple(int(f) for f in raw_off),
     )
-    try:
-        key = decompress_key(ck)
-    except (KeyFormatError, ValueError) as exc:
-        raise KeyFormatError(str(exc)) from exc
-    try:
-        validate_key(key)
-    except SingularMatrixError as exc:  # pragma: no cover - defensive
-        raise KeyFormatError(str(exc)) from exc
+    validate_key(key)
     return key

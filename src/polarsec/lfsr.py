@@ -117,10 +117,7 @@ class Lfsr:
 
     def next_syndrome(self) -> np.ndarray:
         """Current state as the next syndrome, then clock ``degree`` steps."""
-        syndrome = self.state
-        for _ in range(self.degree):
-            self.clock()
-        return syndrome
+        return self.syndromes(1)[0]
 
     # ---- fast block stepping -----------------------------------------
 

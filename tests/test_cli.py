@@ -197,9 +197,11 @@ def test_corrupt_ciphertext_file(tmp_path, capsys, small_key):
 
 
 def test_impossible_scrambler_shape_fails_cleanly(tmp_path, capsys):
-    # k0 = 1 with even mu_s forces even row weight, hence singularity
-    code, _, err = run(capsys, "keygen", "--n", "4", "--k0", "1",
-                       "--n0", "2", "--l", "8", "--mu-s", "2",
-                       "--seed", "1", "--out", str(tmp_path / "z.pkc"))
-    assert code == EXIT_CRYPTO
-    assert "scrambler" in err
+    # k0 = 1 with even mu_s forces even row weight, hence singularity;
+    # lifted odd k0 with odd mu_s leaves the all-ones vector in the kernel
+    for shape in (("--n", "4", "--k0", "1", "--n0", "2", "--l", "8", "--mu-s", "2"),
+                  ("--n", "3", "--n0", "8", "--k0", "3", "--mu-s", "1")):
+        code, _, err = run(capsys, "keygen", *shape,
+                           "--seed", "1", "--out", str(tmp_path / "z.pkc"))
+        assert code == EXIT_CRYPTO
+        assert "scrambler" in err

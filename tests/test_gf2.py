@@ -64,10 +64,16 @@ def test_transpose():
 
 def test_rank_known_cases():
     assert GF2Matrix.identity(12).rank() == 12
+    assert GF2Matrix.identity(12).pivots().tolist() == list(range(12))
     assert GF2Matrix.zeros(5, 5).rank() == 0
+    assert GF2Matrix.zeros(5, 5).pivots().tolist() == []
     # two equal rows collapse the rank
     dense = np.array([[1, 0, 1], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     assert GF2Matrix.from_dense(dense).rank() == 2
+    assert GF2Matrix.from_dense(dense).pivots().tolist() == [0, 1]
+    # a zero leading column and a dependent column are skipped
+    dense = np.array([[0, 1, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
+    assert GF2Matrix.from_dense(dense).pivots().tolist() == [1, 3]
 
 
 def test_inverse_round_trip():

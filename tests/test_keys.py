@@ -1,4 +1,5 @@
 """Key material: structured generation, compression codecs, file format."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,10 +10,9 @@ from polarsec.keys import (
     KeyFormatError,
     KeyGenerationError,
     KeyParams,
-    compress_key,
+    SecretKey,
     compress_permutation,
     compress_scrambler,
-    decompress_key,
     decompress_permutation,
     decompress_scrambler,
     deserialize_key,
@@ -21,6 +21,7 @@ from polarsec.keys import (
     generate_key,
     perm_offsets_to_dst,
     reference_params,
+    scrambler_invertible,
     select_secret_indices,
     serialize_key,
     validate_key,
@@ -101,9 +102,13 @@ def test_scrambler_codec_round_trip_random():
 
 
 def test_scrambler_codec_exhaustive_small():
-    # every possible block-circulant scrambler at l <= 4, k0 <= 2
-    # (n0 chosen so n0*l is a power of two; l = 3 admits no such shape)
-    shapes = [(1, 1, 2), (1, 2, 4), (2, 1, 2), (2, 2, 4), (4, 1, 2), (4, 2, 4)]
+    # every possible block-circulant scrambler at l <= 4, k0 <= 2, plus an
+    # odd k0 >= 3 and a single wide block (n0 chosen so n0*l is a power of
+    # two; l = 3 admits no such shape); each is invertible exactly as the
+    # parameters alone say
+    shapes = [(1, 1, 2), (1, 2, 4), (2, 1, 2), (2, 2, 4), (4, 1, 2), (4, 2, 4),
+              (2, 3, 4), (8, 1, 2)]
+    verdicts = set()
     for l, k0, n0 in shapes:
         n = int(np.log2(n0 * l))
         gap = (n0 - k0) * l
@@ -111,11 +116,15 @@ def test_scrambler_codec_exhaustive_small():
         for mu_s in range(1, l + 1):
             p = KeyParams(n=n, k0=k0, n0=n0, l=l, mu_s=mu_s,
                           epsilon=0.05, pool=n0 * l, taps=taps)
+            invertible = scrambler_invertible(p)
+            verdicts.add(invertible)
             per_block = list(itertools.combinations(range(l), mu_s))
             for combo in itertools.product(per_block, repeat=k0 * k0):
                 flat = (np.array(combo, dtype=np.int64) + 1).reshape(-1)
                 s = decompress_scrambler(flat, p)
                 assert np.array_equal(compress_scrambler(s, p), flat)
+                assert s.is_nonsingular() == invertible
+    assert verdicts == {True, False}
 
 
 def test_identity_scrambler_valid_single_block():
@@ -166,12 +175,37 @@ def test_perm_offsets_to_dst_matches_matrix_action():
         assert np.array_equal(perm.vecmat(v), out)
 
 
-def test_key_compress_decompress_identity():
-    p = small_params()
-    rng = derive_rng(21, "kc")
-    for _ in range(10):
-        key = generate_key(p, rng)
-        assert decompress_key(compress_key(key)) == key
+def test_golden_key_files():
+    # the benchmark's reference key and a derived-seed key, byte for byte
+    data = serialize_key(generate_key(reference_params(), np.random.default_rng(20130725)))
+    assert len(data) == 1763
+    assert hashlib.sha256(data).hexdigest() == (
+        "396646c6272a1f3792a7e4b660902e603f4f4a84c209dbde335f48695c47e5a2")
+    data = serialize_key(generate_key(reference_params(), derive_rng(7, "keygen")))
+    assert hashlib.sha256(data).hexdigest() == (
+        "62c92b00e00b96dcf1d0ffd1378d15575488b8d6d26747fb9f9d21e83954aad9")
+
+
+def test_key_life_cycle_runs_no_elimination(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("GF(2) elimination during key handling")
+
+    for name in ("rank", "pivots", "inverse"):
+        monkeypatch.setattr(GF2Matrix, name, refuse)
+    key = generate_key(reference_params(), derive_rng(3, "keygen"))
+    assert deserialize_key(serialize_key(key)) == key
+
+
+def test_deserialize_rejects_singular_scrambler_shape():
+    # k0 = 1, l = 2, mu_s = 2: the only scrambler is the all-ones 2x2
+    # block; a hand-built key of that shape has a valid CRC but no inverse
+    p = KeyParams(n=2, k0=1, n0=2, l=2, mu_s=2, epsilon=0.05, pool=4,
+                  taps=(2, 1))
+    key = SecretKey(params=p, info_indices=np.array([1, 2], dtype=np.int64),
+                    lfsr_state=np.array([1, 0], dtype=np.uint8),
+                    scrambler_positions=(1, 2), permutation_offsets=(0, 1))
+    with pytest.raises(KeyFormatError, match="singular"):
+        deserialize_key(serialize_key(key))
 
 
 def test_serialize_deserialize_byte_exact():

@@ -22,14 +22,20 @@ def test_clock_sequence_degree_four():
 
 
 def test_next_syndrome_is_state_then_degree_clocks():
-    state = np.array([1, 1, 0, 1, 0], dtype=np.uint8)
-    a = Lfsr((5, 2), state)
-    b = Lfsr((5, 2), state)
-    for _ in range(6):
-        syn = a.next_syndrome()
-        assert np.array_equal(syn, b.state)
-        for _ in range(5):
-            b.clock()
+    rng = np.random.default_rng(24)
+    registers = [((5, 2), np.array([1, 1, 0, 1, 0], dtype=np.uint8))]
+    for degree in (8, 12, 20):
+        state = rng.integers(0, 2, size=degree, dtype=np.uint8)
+        state[0] = 1
+        registers.append((taps_for_degree(degree), state))
+    for taps, state in registers:
+        a = Lfsr(taps, state)
+        b = Lfsr(taps, state)
+        for _ in range(6):
+            syn = a.next_syndrome()
+            assert np.array_equal(syn, b.state)
+            for _ in range(b.degree):
+                b.clock()
 
 
 def test_syndromes_batch_equals_stepping():
