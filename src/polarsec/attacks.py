@@ -127,36 +127,49 @@ class EncryptionOracle:
 
 @dataclass(frozen=True)
 class ErrorSpace:
-    """Distinct ciphertexts of one probe plaintext and their differences.
+    """Distinct ciphertexts of one probe plaintext and the span of their
+    differences.
 
-    ``differences`` holds the XOR of every unordered pair of *distinct*
-    observed ciphertexts (so a pinned oracle yields an empty set), as a
-    sorted array of packed words.  ``ciphertexts`` holds the observed
-    ciphertext words themselves — when the probe message is zero these
-    are exactly the permuted perturbations ``e P``.
+    ``ciphertexts`` holds the observed ciphertext words, sorted; when the
+    probe message is zero these are exactly the permuted perturbations
+    ``e P``.  ``differences`` is the reduced echelon basis of the span of
+    ``ciphertexts ^ ciphertexts[0]`` (which the pairwise differences also
+    span): at most N - K packed words, leading bits descending, and empty
+    for a pinned oracle.  :func:`span_members` enumerates the span.
     """
 
-    word_length: int
     differences: np.ndarray = field(repr=False)
     ciphertexts: np.ndarray = field(repr=False)
     queries_used: int = 0
     saturated: bool = False
 
-    def difference_words(self) -> np.ndarray:
-        """Differences as a (count, N) bit matrix."""
-        return np.array([unpack_word(int(d), self.word_length) for d in self.differences],
-                        dtype=np.uint8).reshape(-1, self.word_length)
+
+def _reduced_basis(words) -> np.ndarray:
+    """Reduced echelon basis of the span of ``words`` (Python ints): no
+    leading bit of one basis word is set in another, so the basis of a
+    span is unique."""
+    basis: list[int] = []
+    for w in words:
+        for b in basis:
+            w = min(w, w ^ b)
+        if w:
+            basis = [min(b, b ^ w) for b in basis] + [w]
+    return np.array(sorted(basis, reverse=True), dtype=np.uint64)
 
 
-def _pairwise_differences(words: np.ndarray) -> np.ndarray:
-    """Distinct XOR values over unordered pairs, zero excluded; chunked."""
-    uniques: list[np.ndarray] = []
-    chunk = 256
-    for i in range(0, words.size, chunk):
-        block = words[i : i + chunk, None] ^ words[None, :]
-        uniques.append(np.unique(block))
-    merged = np.unique(np.concatenate(uniques)) if uniques else np.zeros(0, dtype=np.uint64)
-    return merged[merged != 0]
+def span_members(basis: np.ndarray) -> np.ndarray:
+    """All 2^r members of the span of ``r`` independent words, by
+    doubling over the basis; zero comes first and only there."""
+    span = np.zeros(1, dtype=np.uint64)
+    for b in basis:
+        span = np.concatenate([span, span ^ b])
+    return span
+
+
+def _in_sorted(sorted_words: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership of each query word in the sorted, non-empty ``sorted_words``."""
+    at = np.searchsorted(sorted_words, queries)
+    return sorted_words[np.minimum(at, sorted_words.size - 1)] == queries
 
 
 def collect_error_space(
@@ -198,11 +211,10 @@ def collect_error_space(
             PartialErrorSpaceWarning,
             stacklevel=2,
         )
-    words = np.array(sorted(seen), dtype=np.uint64)
+    words = sorted(seen)
     return ErrorSpace(
-        word_length=oracle.block_length,
-        differences=_pairwise_differences(words),
-        ciphertexts=words,
+        differences=_reduced_basis(w ^ words[0] for w in words[1:]),
+        ciphertexts=np.array(words, dtype=np.uint64),
         queries_used=queries,
         saturated=saturated,
     )
@@ -216,7 +228,8 @@ def collect_error_space(
 class AttackResult:
     """Outcome of one attack run.
 
-    ``candidate_error_space`` is the collected difference set; when
+    ``candidate_error_space`` is the collected error space's basis
+    (:attr:`ErrorSpace.differences`); when
     ``verified`` is true, ``recovered_gprime`` reproduced every held-out
     query up to a member of the observed perturbation set.
     ``candidates_examined`` counts candidate-row membership tests, the
@@ -257,10 +270,11 @@ def rn_attack(
 
     Stages: (1) collect the error space by re-encrypting the zero
     message; (2) for each unit vector u_i, difference encryptions of 0
-    and u_i and expand by the collected differences into the candidate
-    set for row i; (3) prune each candidate set with fresh singleton
-    queries (a candidate survives only while ``C - candidate`` stays
-    inside the observed perturbation set); (4) assemble the surviving
+    and u_i and expand by the nonzero members of the collected span
+    into the candidate set for row i; (3) prune each candidate set with
+    fresh singleton queries (a candidate survives only while
+    ``C - candidate`` stays inside the observed perturbation set, not
+    merely inside its span); (4) assemble the surviving
     product and verify every assembled matrix on held-out random
     messages, growing the sample until a unique survivor remains.
 
@@ -291,14 +305,15 @@ def rn_attack(
     observed = space.ciphertexts  # perturbations e*P, since the probe was M = 0
 
     # stage 2: candidate set per row from unit-vector differences
+    differences = span_members(space.differences)[1:]
     candidates: list[np.ndarray] = []
     for i in range(k):
         unit = np.zeros(k, dtype=np.uint8)
         unit[i] = 1
         base = pack_word(oracle.encrypt(zero)) ^ pack_word(oracle.encrypt(unit))
-        cand = np.uint64(base) ^ space.differences
+        cand = np.uint64(base) ^ differences
         examined += cand.size
-        candidates.append(np.unique(cand))
+        candidates.append(cand)
 
     # stage 3: per-row pruning with singleton messages.  Every row gets
     # one full error-space cycle (2^gap - 1 queries): a shorter run could
@@ -313,7 +328,7 @@ def rn_attack(
             if cand.size == 0:
                 break
             word = np.uint64(pack_word(oracle.encrypt(unit)))
-            keep = np.isin(word ^ cand, observed)
+            keep = _in_sorted(observed, word ^ cand)
             examined += cand.size
             cand = cand[keep]
         if cand.size == 0:
@@ -342,7 +357,7 @@ def rn_attack(
         supp = np.nonzero(msg)[0]
         vals = np.bitwise_xor.reduce(survivors[:, supp], axis=1) ^ word
         examined += survivors.shape[0]
-        survivors = survivors[np.isin(vals, observed)]
+        survivors = survivors[_in_sorted(observed, vals)]
         checked += 1
         if survivors.shape[0] == 0:
             return _failure(oracle, space, examined, "no assembled candidate verifies")
@@ -368,30 +383,31 @@ def rn_attack(
 # ---------------------------------------------------------------------------
 
 def attack_decrypt(
-    matrix: GF2Matrix, error_words: np.ndarray, ciphertext: np.ndarray
+    matrix: GF2Matrix, error_basis: np.ndarray, ciphertext: np.ndarray
 ) -> list[np.ndarray]:
-    """All messages consistent with ``ciphertext = M*matrix + e*P`` for
-    some collected error word.  The perturbation space and the row space
-    of the true matrix intersect only in zero, so against a recovered
-    matrix and saturated error space exactly one message survives.
+    """The message ``M`` with ``ciphertext = M*matrix + e`` for a nonzero
+    ``e`` in the span of ``error_basis`` (packed words, as in
+    :attr:`ErrorSpace.differences`), as a one-element list, or an empty
+    list when there is none.  One solve of the stacked system
+    [matrix; basis]; raises ``ValueError`` when its rows are dependent.
+    The perturbation space and the row space of the true matrix
+    intersect only in zero, so against a recovered matrix and saturated
+    error space the decomposition is unique.
     """
-    dense = matrix.to_dense()
-    pivots = matrix.pivots()
-    if pivots.size != matrix.nrows:
-        raise ValueError("matrix must have full row rank")
+    k = matrix.nrows
+    errors = (np.asarray(error_basis, dtype=np.uint64)[:, None]
+              >> np.arange(matrix.ncols, dtype=np.uint64)) & np.uint64(1)
+    dense = np.vstack([matrix.to_dense(), errors.astype(np.uint8)])
+    stacked = GF2Matrix.from_dense(dense)
+    pivots = stacked.pivots()
+    if pivots.size != stacked.nrows:
+        raise ValueError("matrix rows and error basis must be linearly independent")
     a_inv = GF2Matrix.from_dense(dense[:, pivots]).inverse()
     ct = np.asarray(ciphertext, dtype=np.uint8)
-    out: list[np.ndarray] = []
-    seen: set[int] = set()
-    for err in error_words:
-        target = ct ^ unpack_word(int(err), matrix.ncols)
-        msg = a_inv.vecmat(target[pivots])
-        if np.array_equal(matrix.vecmat(msg), target):
-            key = pack_word(msg)
-            if key not in seen:
-                seen.add(key)
-                out.append(msg)
-    return out
+    coeffs = a_inv.vecmat(ct[pivots])
+    if coeffs[k:].any() and np.array_equal(stacked.vecmat(coeffs), ct):
+        return [coeffs[:k]]
+    return []
 
 
 # ---------------------------------------------------------------------------

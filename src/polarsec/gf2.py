@@ -78,21 +78,10 @@ class GF2Matrix:
     def identity(cls, n: int) -> "GF2Matrix":
         return cls.from_dense(np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "GF2Matrix":
-        return cls(nrows, ncols, np.zeros((nrows, _num_words(ncols)), dtype=np.uint64))
-
     # ---- views --------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.words, self.ncols)
-
-    def row(self, i: int) -> np.ndarray:
-        """Row ``i`` (0-based) as a dense 0/1 vector."""
-        return unpack_rows(self.words[i : i + 1], self.ncols)[0]
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_dense(self.to_dense().T)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF2Matrix):
@@ -102,9 +91,6 @@ class GF2Matrix:
             and self.ncols == other.ncols
             and bool(np.array_equal(self.words, other.words))
         )
-
-    def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.nrows, self.ncols, self.words.copy())
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -215,9 +201,6 @@ class GF2Matrix:
 
     def row_weights(self) -> np.ndarray:
         return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
-
-    def col_weights(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0, dtype=np.int64)
 
 
 def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:

@@ -12,6 +12,8 @@ syndrome is the current state, after which the register clocks m times.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .gf2 import GF2Matrix
@@ -100,7 +102,6 @@ class Lfsr:
         self._fb_positions = np.array(
             [0] + [t for t in self.taps if t < self.degree], dtype=np.int64
         )
-        self._skip_matrix: GF2Matrix | None = None
 
     @property
     def state(self) -> np.ndarray:
@@ -119,20 +120,6 @@ class Lfsr:
         """Current state as the next syndrome, then clock ``degree`` steps."""
         return self.syndromes(1)[0]
 
-    # ---- fast block stepping -----------------------------------------
-
-    def _block_step_matrix(self) -> GF2Matrix:
-        """``T**degree`` where T is the one-clock state-update matrix."""
-        if self._skip_matrix is None:
-            m = self.degree
-            t = np.zeros((m, m), dtype=np.uint8)
-            for j in range(m - 1):
-                t[j + 1, j] = 1
-            t[self._fb_positions, m - 1] = 1
-            step = GF2Matrix.from_dense(t)
-            self._skip_matrix = _matrix_power(step, m)
-        return self._skip_matrix
-
     def syndromes(self, count: int) -> np.ndarray:
         """Next ``count`` syndromes as a (count, degree) array.
 
@@ -141,7 +128,7 @@ class Lfsr:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        skip = self._block_step_matrix()
+        skip = _block_step_matrix(self.taps)
         out = np.empty((count, self.degree), dtype=np.uint8)
         s = self._state
         for i in range(count):
@@ -149,6 +136,21 @@ class Lfsr:
             s = skip.vecmat(s)
         self._state = s.copy()
         return out
+
+
+@functools.lru_cache(maxsize=32)
+def _block_step_matrix(taps: tuple[int, ...]) -> GF2Matrix:
+    """``T**degree`` for validated ``taps``, where T is the one-clock
+    state-update matrix; built once per tap set and shared read-only by
+    every register with those taps."""
+    m = taps[0]
+    t = np.zeros((m, m), dtype=np.uint8)
+    for j in range(m - 1):
+        t[j + 1, j] = 1
+    t[[0, *taps[1:]], m - 1] = 1
+    skip = _matrix_power(GF2Matrix.from_dense(t), m)
+    skip.words.flags.writeable = False
+    return skip
 
 
 def _matrix_power(m: GF2Matrix, e: int) -> GF2Matrix:

@@ -337,43 +337,6 @@ def sc_decode(
     return info[0], bool(ambiguous[0])
 
 
-# ---------------------------------------------------------------------------
-# Monte Carlo performance
-# ---------------------------------------------------------------------------
-
-def block_error_rate(
-    plan: FrozenPlan,
-    epsilon: float,
-    trials: int,
-    rng: np.random.Generator,
-    batch_size: int = 8192,
-) -> float:
-    """Monte Carlo block error rate of SC decoding over BEC(epsilon).
-
-    A trial counts as a block error when the decoder fails to determine
-    the information word uniquely (or gets any bit wrong, which over the
-    erasure channel can only happen together with an ambiguity).
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    size = plan.block_length
-    k = plan.num_info
-    errors = 0
-    done = 0
-    while done < trials:
-        b = min(batch_size, trials - done)
-        u = np.zeros((b, size), dtype=np.uint8)
-        msg = rng.integers(0, 2, size=(b, k), dtype=np.uint8)
-        u[:, plan.info0] = msg
-        u[:, plan.frozen0] = plan.frozen_values
-        x = polar_transform(u)
-        y = bec_transmit(x, epsilon, rng)
-        est, amb = sc_decode_batch(y, plan)
-        errors += int(np.count_nonzero((est != msg).any(axis=1) | amb))
-        done += b
-    return errors / trials
-
-
 def exhaustive_ambiguity(plan: FrozenPlan, epsilon: float) -> float:
     """Exact probability that SC decoding is ambiguous, by enumerating
     all 2**N erasure patterns (ambiguity depends only on the pattern,

@@ -2,6 +2,8 @@
 recovery at toy scale, failure modes, and the measured cost curve."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsec.attacks import (
     AttackInfeasibleError,
@@ -13,9 +15,11 @@ from polarsec.attacks import (
     collect_error_space,
     pack_word,
     rn_attack,
+    span_members,
     unpack_word,
 )
 from polarsec.cipher import CipherContext
+from polarsec.gf2 import GF2Matrix
 from polarsec.keys import KeyParams, generate_key
 from polarsec.rng import derive_rng
 
@@ -34,14 +38,12 @@ def test_word_packing_round_trip():
 def test_error_space_free_running_oracle():
     space = collect_error_space(TOY.oracle(mode="lfsr"), ZERO4, budget=2000)
     # the register never emits zero: 2^4 - 1 perturbations, and their
-    # pairwise differences fill out the rest of the linear span
+    # differences span a 4-dimensional space
     assert space.ciphertexts.size == 15
-    assert space.differences.size == 15
+    assert space.differences.size == 4
+    assert span_members(space.differences)[1:].size == 15
     assert space.saturated
     assert space.queries_used <= 120
-    words = space.difference_words()
-    assert words.shape == (15, 8)
-    assert np.array_equal(np.sort([pack_word(w) for w in words]), space.differences)
 
 
 def test_error_space_uniform_oracle_includes_zero_syndrome():
@@ -49,7 +51,8 @@ def test_error_space_uniform_oracle_includes_zero_syndrome():
     space = collect_error_space(oracle, ZERO4, budget=2000)
     assert space.ciphertexts.size == 16
     assert 0 in space.ciphertexts
-    assert space.differences.size == 15
+    assert space.differences.size == 4
+    assert span_members(space.differences)[1:].size == 15
     assert space.saturated
     assert space.queries_used <= 120
 
@@ -59,6 +62,30 @@ def test_error_space_pinned_oracle_is_degenerate():
     assert space.ciphertexts.size == 1
     assert space.differences.size == 0
     assert space.saturated
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.integers(3, 4).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(2, min(8, (1 << n) - 1)))),
+       mode=st.sampled_from(["lfsr", "uniform", "pinned"]),
+       seed=st.integers(0, 2**16))
+def test_saturated_span_equals_pairwise_differences(shape, mode, seed):
+    n, gap = shape
+    num_info = (1 << n) - gap
+    toy = build_toy_instance(n, num_info, seed=seed)
+    oracle = toy.oracle(mode=mode, rng=derive_rng(seed, "uniform"))
+    space = collect_error_space(oracle, np.zeros(num_info, dtype=np.uint8), budget=20_000)
+    assert space.saturated
+    words = [int(w) for w in space.ciphertexts]
+    pairwise = {a ^ b for a in words for b in words if a != b}
+    members = span_members(space.differences)
+    assert members.size == 1 << space.differences.size == len(pairwise) + 1
+    assert members[0] == 0 and set(members[1:].tolist()) == pairwise
+    # reduced echelon: leading bits descending, each set in its own word only
+    leads = [int(b).bit_length() - 1 for b in space.differences]
+    assert leads == sorted(set(leads), reverse=True)
+    assert all((int(b) >> lead) & 1 == (i == j)
+               for i, b in enumerate(space.differences) for j, lead in enumerate(leads))
 
 
 def test_collection_matches_coupon_collector_mean():
@@ -77,7 +104,8 @@ def test_collection_matches_coupon_collector_mean():
 
 def test_same_message_differences_stay_in_collected_space():
     space = collect_error_space(TOY.oracle(mode="lfsr"), ZERO4, budget=2000)
-    collected = set(int(d) for d in space.differences)
+    collected = set(int(d) for d in span_members(space.differences)[1:])
+    assert len(collected) == 15
     oracle = TOY.oracle(mode="lfsr")
     rng = derive_rng(21, "pairs")
     for _ in range(100):
@@ -109,6 +137,31 @@ def test_recovered_matrix_decrypts_intercepted_traffic():
         )
         assert len(found) == 1
         assert np.array_equal(found[0], msg)
+
+
+def test_attack_decrypt_matches_enumerating_the_span():
+    # the reference decrypts by trying every nonzero member of the span
+    result = rn_attack(TOY.oracle(mode="lfsr"), rng=derive_rng(3, "verify"))
+    matrix, basis = result.recovered_gprime, result.candidate_error_space
+    pivots = matrix.pivots()
+    a_inv = GF2Matrix.from_dense(matrix.to_dense()[:, pivots]).inverse()
+    decrypted = 0
+    for word in range(256):
+        ct = unpack_word(word, 8)
+        want = set()
+        for err in span_members(basis)[1:]:
+            target = ct ^ unpack_word(int(err), 8)
+            msg = a_inv.vecmat(target[pivots])
+            if np.array_equal(matrix.vecmat(msg), target):
+                want.add(pack_word(msg))
+        got = [pack_word(m) for m in attack_decrypt(matrix, basis, ct)]
+        assert got == sorted(want)
+        decrypted += bool(got)
+    # every message under every nonzero perturbation, nothing else
+    assert decrypted == 16 * 15
+    # a basis word inside the row space makes the stacked rows dependent
+    with pytest.raises(ValueError):
+        attack_decrypt(matrix, np.append(basis, np.uint64(pack_word(matrix.to_dense()[0]))), ct)
 
 
 def test_recovers_structured_key_instance():
@@ -173,3 +226,6 @@ def test_cost_curve_grows_with_gap():
     assert all(b > a for a, b in zip(queries, queries[1:]))
     examined = {p.gap: p.candidates_examined for p in points}
     assert examined[4] / examined[2] >= 3.0
+    # work does not grow monotonically: at gaps 6 and 12 the register
+    # shows only a third of the perturbations, so pruning is sharper
+    assert list(examined.values()) == [241, 596, 1801, 6088, 2227, 74638, 265164]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from polarsec import lfsr
 from polarsec.lfsr import (
     DEFAULT_TAPS,
     Lfsr,
@@ -36,6 +37,23 @@ def test_next_syndrome_is_state_then_degree_clocks():
             assert np.array_equal(syn, b.state)
             for _ in range(b.degree):
                 b.clock()
+
+
+def test_block_step_matrix_built_once_per_tap_set(monkeypatch):
+    calls = []
+
+    def counted(m, e):
+        calls.append(e)
+        return power(m, e)
+
+    power = lfsr._matrix_power
+    monkeypatch.setattr(lfsr, "_matrix_power", counted)
+    lfsr._block_step_matrix.cache_clear()
+    taps = taps_for_degree(12)
+    first = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
+    second = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
+    assert calls == [12]
+    assert np.array_equal(first, second)
 
 
 def test_syndromes_batch_equals_stepping():

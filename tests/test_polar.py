@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
+from polarsec.analysis import simulate_round_trip
+from polarsec.keys import KeyParams, generate_key
 from polarsec.polar import (
     ERASED,
     FrozenPlan,
     ReliabilityTable,
     bec_transmit,
     bhattacharyya,
-    block_error_rate,
     exhaustive_ambiguity,
     generator_submatrix,
     kernel_power,
@@ -17,6 +18,7 @@ from polarsec.polar import (
     sc_decode_batch,
     top_indices,
 )
+from polarsec.rng import derive_rng
 
 
 def test_bhattacharyya_two_level_half_erasure():
@@ -211,12 +213,17 @@ def test_exhaustive_ambiguity_half_erasure_worst_channel():
 
 
 def test_block_error_rate_tracks_exhaustive():
-    rng = np.random.default_rng(2718)
-    plan = FrozenPlan.from_info_set(3, np.array([6, 7, 8]),
-                                    np.zeros(5, dtype=np.uint8))
+    # over the erasure channel a block fails exactly when SC decoding is
+    # ambiguous, which depends only on the erasure pattern and the
+    # information set, not on the syndrome or the permutation
+    params = KeyParams(n=3, k0=1, n0=2, l=4, mu_s=1, epsilon=0.05, pool=8,
+                       taps=(4, 1))
+    key = generate_key(params, derive_rng(9, "keygen"))
+    plan = FrozenPlan.from_info_set(3, key.info_indices)
     exact = exhaustive_ambiguity(plan, 0.3)
-    est = block_error_rate(plan, 0.3, 40_000, rng)
-    assert abs(est - exact) < 0.01
+    report = simulate_round_trip(key, 0.3, 40_000, np.random.default_rng(2718))
+    assert report.block_errors == report.ambiguous_blocks
+    assert abs(report.observed_rate - exact) < 0.01
 
 
 def test_top_indices_prefix_of_ranking():
