@@ -6,41 +6,12 @@ block cipher itself (:mod:`.cipher`), design/security accounting
 (:mod:`.analysis`), and a toy-scale chosen-plaintext attack harness
 (:mod:`.attacks`).  ``polarsec --help`` exposes the same surface on the
 command line.
+
+:mod:`.analysis` and :mod:`.attacks` load on first use of one of their
+names, so a caller that only uses keys and the cipher never compiles them.
 """
-from .analysis import (
-    ComplexityReport,
-    ErrorBoundReport,
-    KeySizeReport,
-    SCALING_EXPONENT_BEC,
-    SecurityReport,
-    SimulationReport,
-    TablesReport,
-    WeightStats,
-    complexity_report,
-    default_pool,
-    error_bounds,
-    index_pool_size,
-    key_size_report,
-    perturbation_weight_stats,
-    rate_threshold,
-    reproduce_tables,
-    security_report,
-    simulate_round_trip,
-)
-from .attacks import (
-    AttackInfeasibleError,
-    AttackResult,
-    CostPoint,
-    EncryptionOracle,
-    ErrorSpace,
-    PartialErrorSpaceWarning,
-    ToyInstance,
-    attack_cost_curve,
-    attack_decrypt,
-    build_toy_instance,
-    collect_error_space,
-    rn_attack,
-)
+import importlib
+
 from .cipher import (
     CipherContext,
     CiphertextBlock,
@@ -80,6 +51,38 @@ from .polar import (
 from .rng import derive_rng, parse_seed
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ComplexityReport", "ErrorBoundReport", "KeySizeReport", "SCALING_EXPONENT_BEC",
+            "SecurityReport", "SimulationReport", "TablesReport", "WeightStats",
+            "complexity_report", "default_pool", "error_bounds", "index_pool_size",
+            "key_size_report", "perturbation_weight_stats", "rate_threshold",
+            "reproduce_tables", "security_report", "simulate_round_trip",
+        ),
+        "analysis",
+    ),
+    **dict.fromkeys(
+        (
+            "AttackInfeasibleError", "AttackResult", "CostPoint", "EncryptionOracle",
+            "ErrorSpace", "PartialErrorSpaceWarning", "ToyInstance", "attack_cost_curve",
+            "attack_decrypt", "build_toy_instance", "collect_error_space", "rn_attack",
+        ),
+        "attacks",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """Import :mod:`.analysis` or :mod:`.attacks` on first use (PEP 562)."""
+    if name in ("analysis", "attacks"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AttackInfeasibleError",

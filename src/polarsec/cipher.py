@@ -13,13 +13,19 @@ syndrome never travels with the ciphertext.
 Internally the product with [G_A; G_Ac] is computed with the in-place
 butterfly (N log N bit operations), not with materialized matrices.
 
-Decryption reverses P, runs successive-cancellation decoding with the
-frozen positions pinned to the session syndrome (tolerating channel
-erasures), and unscrambles with S^-1.
+Decryption reverses P and unscrambles with S^-1.  A block with no
+erasure is a codeword, so the transform (its own inverse) gives u and u_A
+is read off; only blocks with an erasure run successive-cancellation
+decoding with the frozen positions pinned to the session syndrome.  A
+session builds what each direction needs on first use: the scramble
+gather on first encrypt, S^-1 on first decrypt (for a key, inverted over
+the circulant ring, see :mod:`.keys`).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +63,7 @@ class CipherContext:
             n=p.n,
             info_indices=np.asarray(key.info_indices, dtype=np.int64),
             scrambler=key.scrambler,
+            scrambler_inverse=lambda: key.scrambler_inverse,
             perm_dst=perm_offsets_to_dst(key.permutation_offsets, p.l),
             taps=p.taps,
             lfsr_state=np.asarray(key.lfsr_state, dtype=np.uint8),
@@ -81,6 +88,7 @@ class CipherContext:
             n=n,
             info_indices=np.asarray(info_indices, dtype=np.int64),
             scrambler=scrambler,
+            scrambler_inverse=scrambler.inverse,
             perm_dst=np.asarray(perm_dst, dtype=np.int64),
             taps=taps,
             lfsr_state=np.asarray(lfsr_state, dtype=np.uint8),
@@ -93,6 +101,7 @@ class CipherContext:
         n: int,
         info_indices: np.ndarray,
         scrambler: GF2Matrix,
+        scrambler_inverse: Callable[[], GF2Matrix],
         perm_dst: np.ndarray,
         taps: tuple[int, ...],
         lfsr_state: np.ndarray,
@@ -107,7 +116,7 @@ class CipherContext:
         if (scrambler.nrows, scrambler.ncols) != (self.num_info, self.num_info):
             raise ValueError("scrambler shape must be K x K")
         self.scrambler = scrambler
-        self.scrambler_inv = scrambler.inverse()
+        self._scrambler_inverse = scrambler_inverse
         perm_dst = np.asarray(perm_dst, dtype=np.int64)
         if np.unique(perm_dst).size != self.block_length or perm_dst.shape != (self.block_length,):
             raise ValueError("perm_dst must be a permutation of 0..N-1")
@@ -116,19 +125,27 @@ class CipherContext:
         if start_block:
             self.lfsr.syndromes(start_block)  # burn to the session offset
         self.blocks_processed = start_block
-        # column supports of S padded to equal width; K is a dummy index
-        # pointing at an appended zero column (batch scramble gather)
-        dense = scrambler.to_dense()
+        self._g_a: GF2Matrix | None = None
+        self._g_ac: GF2Matrix | None = None
+
+    # ---- derived matrices --------------------------------------------
+
+    @cached_property
+    def scrambler_inv(self) -> GF2Matrix:
+        """S^-1, built on first decrypt."""
+        return self._scrambler_inverse()
+
+    @cached_property
+    def _scramble_gather(self) -> np.ndarray:
+        """Column supports of S padded to equal width, built on first
+        encrypt; K is a dummy index pointing at an appended zero column."""
+        dense = self.scrambler.to_dense()
         supports = [np.nonzero(dense[:, j])[0] for j in range(self.num_info)]
         width = max((s.size for s in supports), default=0)
         gather = np.full((self.num_info, max(width, 1)), self.num_info, dtype=np.int64)
         for j, s in enumerate(supports):
             gather[j, : s.size] = s
-        self._scramble_gather = gather
-        self._g_a: GF2Matrix | None = None
-        self._g_ac: GF2Matrix | None = None
-
-    # ---- derived matrices --------------------------------------------
+        return gather
 
     @property
     def info_rows(self) -> GF2Matrix:
@@ -203,11 +220,18 @@ class CipherContext:
         received = np.asarray(received, dtype=np.int8)
         if received.ndim != 2 or received.shape[1] != self.block_length:
             raise ValueError(f"received must be (batch, {self.block_length})")
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        syndromes = np.asarray(syndromes, dtype=np.int8)
         depermuted = received[:, self.perm_dst]
-        scrambled, ambiguous = sc_decode_batch(
-            depermuted, self.plan, syndromes.astype(np.int8)
-        )
+        erased = (depermuted < 0).any(axis=1)
+        clean = ~erased
+        scrambled = np.empty((received.shape[0], self.num_info), dtype=np.uint8)
+        ambiguous = np.zeros(received.shape[0], dtype=bool)
+        # an unerased block is the codeword u F: the transform is its own inverse
+        scrambled[clean] = polar_transform(depermuted[clean])[:, self.plan.info0]
+        if erased.any():
+            scrambled[erased], ambiguous[erased] = sc_decode_batch(
+                depermuted[erased], self.plan, syndromes[erased]
+            )
         messages = mul_bits_matrix(scrambled, self.scrambler_inv)
         return messages, ambiguous
 

@@ -36,6 +36,20 @@ odd.  Without the lift (k0 = 1) the image is mu_s mod 2.  So whether S is
 invertible depends on the parameters alone, never on the draw
 (:func:`scrambler_invertible`): key generation draws once, and loading a
 key needs no rank.
+
+Scrambler inverse over the ring
+-------------------------------
+S^-1 is block-circulant of the same shape, so it is computed over R, not
+over GF(2) K x K.  Each block is an l-bit int, bit i the coefficient of
+x**i (position p contributes x**(p-1), the lift adds 1 to the diagonal
+blocks), and blocks multiply as polynomials mod x**l - 1.  An element of
+R is a unit exactly when its weight is odd; a unit u = 1 + m has m in the
+nilpotent ideal (x + 1), so u**-1 = (1 + m)(1 + m**2)(1 + m**4)... up to
+the first m**(2**j) = 0 (at most log2(l) factors).  Gauss-Jordan on
+the k0 x k0 matrix over R takes any odd-weight entry of the column as
+pivot; when none is left the matrix is singular.  The result expands to
+the dense matrix whose block (i, j) holds, at row r and column c, bit
+(c - r) mod l of its polynomial (:attr:`SecretKey.scrambler_inverse`).
 """
 from __future__ import annotations
 
@@ -46,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, SingularMatrixError
 from .lfsr import validate_taps
 from .polar import ReliabilityTable, bhattacharyya
 
@@ -224,17 +238,73 @@ def _check_permutation_offsets(offsets, params: KeyParams) -> np.ndarray:
     return arr
 
 
-def _assemble_scrambler(positions: np.ndarray, params: KeyParams) -> np.ndarray:
-    """Dense K x K scrambler from (k0, k0, mu_s) 0-based first-row positions."""
-    l = params.l
-    dense = np.zeros((params.num_info, params.num_info), dtype=np.uint8)
-    rows = np.arange(l)[:, None]
-    for bj in range(params.k0):
-        for bk in range(params.k0):
-            dense[bj * l + rows, bk * l + (positions[bj, bk][None, :] + rows) % l] = 1
-    if params.uses_lift:
-        dense[np.arange(params.num_info), np.arange(params.num_info)] ^= 1
-    return dense
+def _scrambler_blocks(positions, params: KeyParams) -> list[list[int]]:
+    """S as a k0 x k0 matrix over R (l-bit ints), from its 1-based
+    first-row positions, diagonal parity lift included."""
+    k0, positions = params.k0, _check_scrambler_positions(positions, params)
+    return [
+        [
+            sum(1 << (int(p) - 1) for p in positions[i, j]) ^ int(params.uses_lift and i == j)
+            for j in range(k0)
+        ]
+        for i in range(k0)
+    ]
+
+
+def _ring_mul(a: int, b: int, l: int) -> int:
+    """a(x) b(x) mod x**l - 1, by shifted XORs over the bits of the sparser factor."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
+    return (acc ^ (acc >> l)) & ((1 << l) - 1)
+
+
+def _ring_unit_inverse(u: int, l: int) -> int:
+    """Inverse of an odd-weight u = 1 + m: the product of 1 + m**(2**j)."""
+    m, inv = u ^ 1, 1
+    while m:
+        inv = _ring_mul(inv, 1 ^ m, l)
+        m = _ring_mul(m, m, l)
+    return inv
+
+
+def _ring_inverse(blocks: list[list[int]], l: int) -> list[list[int]]:
+    """Gauss-Jordan inverse of a square matrix over R; raises
+    ``SingularMatrixError`` when a column has no odd-weight pivot left."""
+    k = len(blocks)
+    work = [row[:] for row in blocks]
+    inv = [[int(i == j) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if work[r][col].bit_count() & 1), None)
+        if piv is None:
+            raise SingularMatrixError(f"matrix over R is singular (no unit in column {col})")
+        work[col], work[piv] = work[piv], work[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        unit = _ring_unit_inverse(work[col][col], l)
+        work[col] = [_ring_mul(unit, e, l) for e in work[col]]
+        inv[col] = [_ring_mul(unit, e, l) for e in inv[col]]
+        for r in range(k):
+            f = work[r][col]
+            if r != col and f:
+                work[r] = [x ^ _ring_mul(f, y, l) for x, y in zip(work[r], work[col])]
+                inv[r] = [x ^ _ring_mul(f, y, l) for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def _expand_blocks(blocks: list[list[int]], l: int) -> np.ndarray:
+    """Dense matrix of a k0 x k0 matrix over R: block (i, j) at row r,
+    column c holds bit (c - r) mod l of its polynomial."""
+    k0, width = len(blocks), (l + 7) // 8
+    raw = b"".join(e.to_bytes(width, "little") for row in blocks for e in row)
+    coeffs = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(k0, k0, width), axis=2, bitorder="little"
+    )[..., :l]
+    shift = (np.arange(l)[None, :] - np.arange(l)[:, None]) % l
+    return coeffs[:, :, shift].transpose(0, 2, 1, 3).reshape(k0 * l, k0 * l)
 
 
 def gen_scrambler(params: KeyParams, rng: np.random.Generator) -> GF2Matrix:
@@ -283,8 +353,7 @@ def compress_scrambler(scrambler: GF2Matrix, params: KeyParams) -> tuple[int, ..
 
 def decompress_scrambler(positions: tuple[int, ...], params: KeyParams) -> GF2Matrix:
     """Rebuild the scrambler matrix from 1-based first-row positions."""
-    arr = _check_scrambler_positions(positions, params)
-    return GF2Matrix.from_dense(_assemble_scrambler(arr - 1, params))
+    return GF2Matrix.from_dense(_expand_blocks(_scrambler_blocks(positions, params), params.l))
 
 
 def perm_offsets_to_dst(offsets: np.ndarray, l: int) -> np.ndarray:
@@ -358,6 +427,14 @@ class SecretKey:
     def scrambler(self) -> GF2Matrix:
         """The dense K x K scrambler S, built on first use."""
         return decompress_scrambler(self.scrambler_positions, self.params)
+
+    @cached_property
+    def scrambler_inverse(self) -> GF2Matrix:
+        """S^-1, inverted over the circulant ring on first use (see the
+        module docstring); ``SingularMatrixError`` if S is singular."""
+        l = self.params.l
+        inverse = _ring_inverse(_scrambler_blocks(self.scrambler_positions, self.params), l)
+        return GF2Matrix.from_dense(_expand_blocks(inverse, l))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SecretKey):

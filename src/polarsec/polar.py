@@ -93,7 +93,7 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(u).copy()
     span = size // 2
     while span:
-        v = x.reshape(x.shape[:-1] + (-1, 2, span))
+        v = x.reshape(x.shape[:-1] + (size // (2 * span), 2, span))
         v[..., 0, :] ^= v[..., 1, :]
         span //= 2
     return x

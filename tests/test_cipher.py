@@ -1,7 +1,11 @@
 """Block cipher sessions, the algebraic encryption relation, framing."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polarsec import cipher
+from polarsec.attacks import build_toy_instance
 from polarsec.cipher import (
     CipherContext,
     CiphertextBlock,
@@ -11,9 +15,9 @@ from polarsec.cipher import (
     unframe_plaintext,
     unpack_ciphertext,
 )
-from polarsec.gf2 import mul_bits_matrix
-from polarsec.keys import KeyParams, generate_key
-from polarsec.polar import ERASED, bec_transmit
+from polarsec.gf2 import GF2Matrix, mul_bits_matrix
+from polarsec.keys import KeyParams, generate_key, reference_params
+from polarsec.polar import ERASED, bec_transmit, sc_decode_batch
 from polarsec.rng import derive_rng
 
 SMALL = KeyParams(n=6, k0=6, n0=8, l=8, mu_s=2, epsilon=0.05, pool=64,
@@ -23,6 +27,14 @@ SMALL = KeyParams(n=6, k0=6, n0=8, l=8, mu_s=2, epsilon=0.05, pool=64,
 @pytest.fixture(scope="module")
 def key():
     return generate_key(SMALL, derive_rng(12, "keygen"))
+
+
+@pytest.fixture(scope="module")
+def other_key():
+    return generate_key(SMALL, derive_rng(999, "keygen"))
+
+
+TOY = build_toy_instance(5, 20, seed=4)  # dense scrambler, N = 32, K = 20
 
 
 def test_round_trip_without_channel(key):
@@ -112,6 +124,71 @@ def test_wrong_key_decrypts_deterministic_garbage(key):
     out2, _ = CipherContext(other).decrypt_blocks(ct)
     assert np.array_equal(out1, out2)
     assert not np.array_equal(out1, msgs)
+
+
+def reference_decrypt(ctx, received, syndromes):
+    """SC on every block, then the dense Gauss-Jordan S^-1."""
+    y = np.asarray(received, dtype=np.int8)[:, ctx.perm_dst]
+    scrambled, ambiguous = sc_decode_batch(y, ctx.plan, syndromes.astype(np.int8))
+    return mul_bits_matrix(scrambled, ctx.scrambler.inverse()), ambiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(toy=st.booleans(), batch=st.integers(1, 40),
+       rate=st.sampled_from([0.0, 1.0]) | st.floats(0.002, 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_decrypt_split_matches_sc_on_every_block(key, other_key, toy, batch, rate, seed):
+    # clean blocks skip SC; all-clean, all-erased and mixed batches must
+    # decode exactly as SC over every block does
+    ctx = TOY.context() if toy else CipherContext(key)
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, 2, size=(batch, ctx.num_info), dtype=np.uint8)
+    syn = rng.integers(0, 2, size=(batch, ctx.block_length - ctx.num_info), dtype=np.uint8)
+    received = bec_transmit(ctx.encrypt_blocks_with_syndromes(msgs, syn), rate, rng)
+    got, amb = ctx.decrypt_blocks_with_syndromes(received, syn)
+    want, want_amb = reference_decrypt(ctx, received, syn)
+    assert np.array_equal(got, want)
+    assert np.array_equal(amb, want_amb)
+    assert np.array_equal(got[~amb], msgs[~amb])
+    if not toy:
+        # a wrong key sees noiseless blocks that are no codeword under its
+        # syndrome: deterministic garbage, never flagged
+        ct = CipherContext(key).encrypt_blocks_with_syndromes(msgs, syn)
+        wrong = [CipherContext(other_key).decrypt_blocks_with_syndromes(ct, syn)
+                 for _ in range(2)]
+        assert np.array_equal(wrong[0][0], wrong[1][0])
+        assert not wrong[0][1].any()
+
+
+def test_empty_batches(key):
+    ctx = CipherContext(key)
+    assert ctx.encrypt_blocks(np.zeros((0, SMALL.num_info), dtype=np.uint8)).shape == (
+        0, SMALL.block_length)
+    msgs, amb = ctx.decrypt_blocks(np.zeros((0, SMALL.block_length), dtype=np.int8))
+    assert msgs.shape == (0, SMALL.num_info) and amb.shape == (0,)
+    assert ctx.blocks_processed == 0
+
+
+def test_sessions_build_only_what_they_use(monkeypatch):
+    # a clean seal and open at the reference parameters run neither the
+    # dense inverse nor SC; each direction builds only its own table
+    key = generate_key(reference_params(), derive_rng(21, "keygen"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense inverse or SC decode in a noiseless session")
+
+    monkeypatch.setattr(GF2Matrix, "inverse", refuse)
+    monkeypatch.setattr(cipher, "sc_decode_batch", refuse)
+    data = derive_rng(22, "cost").bytes(2048)
+    k, size = key.params.num_info, key.params.block_length
+    sender = CipherContext(key, start_block=300)
+    payload = pack_ciphertext(sender.encrypt_blocks(frame_plaintext(data, k)))
+    receiver = CipherContext(key, start_block=300)
+    blocks, amb = receiver.decrypt_blocks(unpack_ciphertext(payload, size))
+    assert not amb.any()
+    assert unframe_plaintext(blocks) == data
+    assert "scrambler_inv" not in sender.__dict__
+    assert "_scramble_gather" not in receiver.__dict__
 
 
 def test_from_components_matches_key_construction(key):

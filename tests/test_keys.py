@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from polarsec.gf2 import GF2Matrix
+from polarsec.gf2 import GF2Matrix, SingularMatrixError
 from polarsec.keys import (
     KeyFormatError,
     KeyGenerationError,
@@ -35,6 +35,16 @@ def small_params(**overrides) -> KeyParams:
                 taps=(16, 15, 13, 4))
     base.update(overrides)
     return KeyParams(**base)
+
+
+def key_with_positions(params: KeyParams, positions) -> SecretKey:
+    """A key around the given scrambler positions; the other parts are
+    placeholders that the scrambler views never read."""
+    return SecretKey(params=params,
+                     info_indices=np.arange(1, params.num_info + 1, dtype=np.int64),
+                     lfsr_state=np.ones(params.num_frozen, dtype=np.uint8),
+                     scrambler_positions=tuple(int(x) for x in positions),
+                     permutation_offsets=(0,) * params.n0)
 
 
 def test_reference_params_shape():
@@ -105,7 +115,8 @@ def test_scrambler_codec_exhaustive_small():
     # every possible block-circulant scrambler at l <= 4, k0 <= 2, plus an
     # odd k0 >= 3 and a single wide block (n0 chosen so n0*l is a power of
     # two; l = 3 admits no such shape); each is invertible exactly as the
-    # parameters alone say
+    # parameters alone say, and every invertible one has its ring inverse
+    # equal to the dense Gauss-Jordan inverse
     shapes = [(1, 1, 2), (1, 2, 4), (2, 1, 2), (2, 2, 4), (4, 1, 2), (4, 2, 4),
               (2, 3, 4), (8, 1, 2)]
     verdicts = set()
@@ -124,7 +135,16 @@ def test_scrambler_codec_exhaustive_small():
                 s = decompress_scrambler(flat, p)
                 assert np.array_equal(compress_scrambler(s, p), flat)
                 assert s.is_nonsingular() == invertible
+                if invertible:
+                    key = key_with_positions(p, flat)
+                    assert key.scrambler_inverse == s.inverse()
     assert verdicts == {True, False}
+
+
+def test_scrambler_inverse_over_ring_matches_dense_at_reference_params():
+    for seed in (1, 2, 3):
+        key = generate_key(reference_params(), derive_rng(seed, "keygen"))
+        assert key.scrambler_inverse == key.scrambler.inverse()
 
 
 def test_identity_scrambler_valid_single_block():
@@ -198,7 +218,8 @@ def test_key_life_cycle_runs_no_elimination(monkeypatch):
 
 def test_deserialize_rejects_singular_scrambler_shape():
     # k0 = 1, l = 2, mu_s = 2: the only scrambler is the all-ones 2x2
-    # block; a hand-built key of that shape has a valid CRC but no inverse
+    # block; a hand-built key of that shape has a valid CRC but no inverse,
+    # and its ring inverse finds no unit pivot
     p = KeyParams(n=2, k0=1, n0=2, l=2, mu_s=2, epsilon=0.05, pool=4,
                   taps=(2, 1))
     key = SecretKey(params=p, info_indices=np.array([1, 2], dtype=np.int64),
@@ -206,6 +227,8 @@ def test_deserialize_rejects_singular_scrambler_shape():
                     scrambler_positions=(1, 2), permutation_offsets=(0, 1))
     with pytest.raises(KeyFormatError, match="singular"):
         deserialize_key(serialize_key(key))
+    with pytest.raises(SingularMatrixError):
+        key.scrambler_inverse
 
 
 def test_serialize_deserialize_byte_exact():

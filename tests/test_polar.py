@@ -64,6 +64,11 @@ def test_transform_is_involution():
         assert np.array_equal(polar_transform(x.copy()), u)
 
 
+def test_transform_of_empty_batch():
+    for n in (1, 6):
+        assert polar_transform(np.zeros((0, 1 << n), dtype=np.uint8)).shape == (0, 1 << n)
+
+
 def test_transform_matches_kernel_power_exhaustively():
     for n in (1, 2, 3, 4):
         size = 1 << n
