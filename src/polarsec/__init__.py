@@ -41,7 +41,6 @@ from .polar import (
     bec_transmit,
     bhattacharyya,
     exhaustive_ambiguity,
-    generator_submatrix,
     kernel_power,
     polar_transform,
     sc_decode,
@@ -126,7 +125,6 @@ __all__ = [
     "error_bounds",
     "exhaustive_ambiguity",
     "generate_key",
-    "generator_submatrix",
     "index_pool_size",
     "is_primitive",
     "kernel_power",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cipher import CipherContext
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, pack_rows, rref, unpack_rows
 from .lfsr import taps_for_degree
 from .rng import derive_rng
 
@@ -388,25 +388,27 @@ def attack_decrypt(
     """The message ``M`` with ``ciphertext = M*matrix + e`` for a nonzero
     ``e`` in the span of ``error_basis`` (packed words, as in
     :attr:`ErrorSpace.differences`), as a one-element list, or an empty
-    list when there is none.  One solve of the stacked system
-    [matrix; basis]; raises ``ValueError`` when its rows are dependent.
-    The perturbation space and the row space of the true matrix
-    intersect only in zero, so against a recovered matrix and saturated
-    error space the decomposition is unique.
+    list when there is none.  One :func:`~polarsec.gf2.rref` of the
+    stacked system [matrix; basis | I]: the pivot bits of the ciphertext
+    pick the reduced rows that sum to it, and their right halves give the
+    coefficients.  Raises ``ValueError`` when the stacked rows are
+    dependent.  The perturbation space and the row space of the true
+    matrix intersect only in zero, so against a recovered matrix and
+    saturated error space the decomposition is unique.
     """
-    k = matrix.nrows
+    k, n = matrix.nrows, matrix.ncols
     errors = (np.asarray(error_basis, dtype=np.uint64)[:, None]
-              >> np.arange(matrix.ncols, dtype=np.uint64)) & np.uint64(1)
-    dense = np.vstack([matrix.to_dense(), errors.astype(np.uint8)])
-    stacked = GF2Matrix.from_dense(dense)
-    pivots = stacked.pivots()
-    if pivots.size != stacked.nrows:
+              >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    stacked = np.vstack([matrix.to_dense(), errors.astype(np.uint8)])
+    m = stacked.shape[0]
+    reduced, pivots = rref(pack_rows(np.hstack([stacked, np.eye(m, dtype=np.uint8)])), n)
+    if pivots.size != m:
         raise ValueError("matrix rows and error basis must be linearly independent")
-    a_inv = GF2Matrix.from_dense(dense[:, pivots]).inverse()
     ct = np.asarray(ciphertext, dtype=np.uint8)
-    coeffs = a_inv.vecmat(ct[pivots])
-    if coeffs[k:].any() and np.array_equal(stacked.vecmat(coeffs), ct):
-        return [coeffs[:k]]
+    picked = np.bitwise_xor.reduce(reduced[ct[pivots].astype(bool)], axis=0)
+    combo = unpack_rows(picked[None, :], n + m)[0]
+    if np.array_equal(combo[:n], ct) and combo[n + k:].any():
+        return [combo[n : n + k]]
     return []
 
 

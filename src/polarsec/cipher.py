@@ -32,7 +32,7 @@ import numpy as np
 from .gf2 import GF2Matrix, mul_bits_matrix
 from .keys import SecretKey, perm_offsets_to_dst
 from .lfsr import Lfsr
-from .polar import FrozenPlan, generator_submatrix, polar_transform, sc_decode_batch
+from .polar import FrozenPlan, polar_transform, sc_decode_batch
 
 FRAME_COUNT_BITS = 16
 
@@ -125,8 +125,6 @@ class CipherContext:
         if start_block:
             self.lfsr.syndromes(start_block)  # burn to the session offset
         self.blocks_processed = start_block
-        self._g_a: GF2Matrix | None = None
-        self._g_ac: GF2Matrix | None = None
 
     # ---- derived matrices --------------------------------------------
 
@@ -147,25 +145,14 @@ class CipherContext:
             gather[j, : s.size] = s
         return gather
 
-    @property
-    def info_rows(self) -> GF2Matrix:
-        """G_A: rows of the polar transform at the information set."""
-        if self._g_a is None:
-            self._g_a = generator_submatrix(self.n, self.plan.info_indices)
-        return self._g_a
-
-    @property
-    def frozen_rows(self) -> GF2Matrix:
-        """G_Ac: rows of the polar transform at the frozen set."""
-        if self._g_ac is None:
-            self._g_ac = generator_submatrix(self.n, self.plan.frozen_indices)
-        return self._g_ac
-
     def encryption_matrix(self) -> GF2Matrix:
-        """G' = S G_A P, the effective K x N one-block encryption map."""
-        sga = (self.scrambler @ self.info_rows).to_dense()
-        out = np.empty_like(sga)
-        out[:, self.perm_dst] = sga
+        """G' = S G_A P, the effective K x N one-block encryption map: the
+        transform of S's rows placed on the information set, permuted."""
+        u = np.zeros((self.num_info, self.block_length), dtype=np.uint8)
+        u[:, self.plan.info0] = self.scrambler.to_dense()
+        x = polar_transform(u)
+        out = np.empty_like(x)
+        out[:, self.perm_dst] = x
         return GF2Matrix.from_dense(out)
 
     def perturbation(self, syndrome: np.ndarray) -> np.ndarray:

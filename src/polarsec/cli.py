@@ -120,7 +120,7 @@ def _add_params(sp) -> None:
 def _resolve_seed(args) -> int:
     text = getattr(args, "seed", None) or os.environ.get("PKC_SEED")
     if text is None:
-        return int.from_bytes(os.urandom(8), "little")
+        return int.from_bytes(os.urandom(32), "little")
     return parse_seed(text)
 
 

@@ -2,9 +2,11 @@
 
 Matrices are stored row-major with each row packed into 64-bit words,
 little-endian bit order (bit ``j`` of a row lives in word ``j // 64`` at
-bit position ``j % 64``).  All arithmetic is XOR/AND based; products use
-either row-XOR accumulation (sparse selectors) or AND+popcount parity
-(dense batches).
+bit position ``j % 64``).  All arithmetic is XOR/AND based: one
+Gauss-Jordan routine (:func:`rref`) behind rank, pivot columns and the
+inverse, and two products, row-XOR accumulation for a single row
+(:meth:`GF2Matrix.vecmat`) and AND+popcount parity for a batch
+(:func:`mul_bits_matrix`).
 """
 from __future__ import annotations
 
@@ -74,10 +76,6 @@ class GF2Matrix:
             raise ValueError("entries must be 0/1")
         return cls(dense.shape[0], dense.shape[1], pack_rows(dense))
 
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
-
     # ---- views --------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
@@ -116,50 +114,16 @@ class GF2Matrix:
         acc = np.bitwise_xor.reduce(sel, axis=0)
         return unpack_rows(acc[None, :], self.ncols)[0]
 
-    def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if not isinstance(other, GF2Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"dimension mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
-            )
-        left = self.to_dense().astype(bool)
-        out = np.zeros((self.nrows, other.words.shape[1]), dtype=np.uint64)
-        for i in range(self.nrows):
-            sel = other.words[left[i]]
-            if sel.shape[0]:
-                out[i] = np.bitwise_xor.reduce(sel, axis=0)
-        return GF2Matrix(self.nrows, other.ncols, out)
-
     # ---- elimination --------------------------------------------------
 
     def pivots(self) -> np.ndarray:
-        """Pivot columns of forward elimination, ascending.
+        """Pivot columns, ascending.
 
         Their count is the rank, and the columns they name are linearly
         independent, so they pick an invertible square submatrix of a
         matrix with full row rank.
         """
-        work = self.words.copy()
-        found: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            if r == self.nrows:
-                break
-            w, b = divmod(col, WORD_BITS)
-            colbits = (work[r:, w] >> np.uint64(b)) & np.uint64(1)
-            piv = np.nonzero(colbits)[0]
-            if piv.size == 0:
-                continue
-            p = r + int(piv[0])
-            if p != r:
-                work[[r, p]] = work[[p, r]]
-            below = (work[r + 1 :, w] >> np.uint64(b)) & np.uint64(1)
-            hit = np.nonzero(below)[0] + r + 1
-            work[hit] ^= work[r]
-            found.append(col)
-            r += 1
-        return np.asarray(found, dtype=np.int64)
+        return rref(self.words, self.ncols)[1]
 
     def rank(self) -> int:
         return len(self.pivots())
@@ -168,7 +132,7 @@ class GF2Matrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def inverse(self) -> "GF2Matrix":
-        """Gauss-Jordan inverse over GF(2).
+        """Inverse over GF(2): the right half of ``rref([A | I])``.
 
         Raises
         ------
@@ -178,29 +142,47 @@ class GF2Matrix:
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.nrows
-        work = self.words.copy()
-        aug = GF2Matrix.identity(n).words
-        for col in range(n):
-            w, b = divmod(col, WORD_BITS)
-            colbits = (work[col:, w] >> np.uint64(b)) & np.uint64(1)
-            piv = np.nonzero(colbits)[0]
-            if piv.size == 0:
-                raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-            p = col + int(piv[0])
-            if p != col:
-                work[[col, p]] = work[[p, col]]
-                aug[[col, p]] = aug[[p, col]]
-            colbits = (work[:, w] >> np.uint64(b)) & np.uint64(1)
-            hit = np.nonzero(colbits)[0]
-            hit = hit[hit != col]
-            work[hit] ^= work[col]
-            aug[hit] ^= aug[col]
-        return GF2Matrix(n, n, aug)
+        augmented = np.hstack([self.to_dense(), np.eye(n, dtype=np.uint8)])
+        reduced, pivots = rref(pack_rows(augmented), n)
+        if pivots.size < n:
+            raise SingularMatrixError(f"matrix is singular (rank {pivots.size} < {n})")
+        return GF2Matrix.from_dense(unpack_rows(reduced, 2 * n)[:, n:])
 
-    # ---- statistics ---------------------------------------------------
 
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
+def rref(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of packed rows over their first ``ncols``
+    columns.
+
+    Bits past ``ncols`` ride along, so reducing ``[A | I]`` records the
+    row operations in the right half.
+
+    Returns
+    -------
+    reduced : ndarray
+        A copy of ``words`` in reduced row echelon form over the first
+        ``ncols`` columns: row ``i`` holds pivot ``i`` and is the only row
+        with that bit set; rows past the rank are zero there.
+    pivots : ndarray
+        The ascending pivot columns; their count is the rank.
+    """
+    work = np.array(words, dtype=np.uint64)
+    found: list[int] = []
+    for col in range(ncols):
+        r = len(found)
+        if r == work.shape[0]:
+            break
+        w, b = divmod(col, WORD_BITS)
+        colbits = ((work[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
+        p = r + int(colbits[r:].argmax())
+        if not colbits[p]:
+            continue
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+            colbits[[r, p]] = colbits[[p, r]]
+        colbits[r] = False
+        work[colbits] ^= work[r]
+        found.append(col)
+    return work, np.asarray(found, dtype=np.int64)
 
 
 def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:

@@ -140,28 +140,20 @@ class Lfsr:
 
 @functools.lru_cache(maxsize=32)
 def _block_step_matrix(taps: tuple[int, ...]) -> GF2Matrix:
-    """``T**degree`` for validated ``taps``, where T is the one-clock
-    state-update matrix; built once per tap set and shared read-only by
-    every register with those taps."""
+    """The ``degree``-clock state map for validated ``taps``: row i is
+    unit fill i clocked ``degree`` times (all fills at once, each clock as
+    in :meth:`Lfsr.clock`), so ``s @ step`` is ``s`` clocked ``degree``
+    times.  Built once per tap set and shared read-only by every register
+    with those taps."""
     m = taps[0]
-    t = np.zeros((m, m), dtype=np.uint8)
-    for j in range(m - 1):
-        t[j + 1, j] = 1
-    t[[0, *taps[1:]], m - 1] = 1
-    skip = _matrix_power(GF2Matrix.from_dense(t), m)
-    skip.words.flags.writeable = False
-    return skip
-
-
-def _matrix_power(m: GF2Matrix, e: int) -> GF2Matrix:
-    result = GF2Matrix.identity(m.nrows)
-    base = m
-    while e:
-        if e & 1:
-            result = result @ base
-        base = base @ base
-        e >>= 1
-    return result
+    fills = np.eye(m, dtype=np.uint8)
+    feedback = [0, *taps[1:]]
+    for _ in range(m):
+        fb = np.bitwise_xor.reduce(fills[:, feedback], axis=1)
+        fills = np.concatenate([fills[:, 1:], fb[:, None]], axis=1)
+    step = GF2Matrix.from_dense(fills)
+    step.words.flags.writeable = False
+    return step
 
 
 def lfsr_period(taps: tuple[int, ...], seed: np.ndarray | None = None) -> int:

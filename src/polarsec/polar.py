@@ -16,8 +16,6 @@ from functools import reduce
 
 import numpy as np
 
-from .gf2 import GF2Matrix
-
 ERASED = np.int8(-1)
 
 KERNEL = np.array([[1, 0], [1, 1]], dtype=np.uint8)
@@ -102,35 +100,6 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 def kernel_power(n: int) -> np.ndarray:
     """Dense ``F^{(n)}`` as a (N, N) uint8 array (reference oracle; O(N^2))."""
     return reduce(lambda acc, _: np.kron(acc, KERNEL), range(n), np.array([[1]], dtype=np.uint8))
-
-
-def generator_submatrix(n: int, indices: np.ndarray) -> GF2Matrix:
-    """Rows of ``F^{(n)}`` selected by 1-based ``indices``.
-
-    Parameters
-    ----------
-    n : int
-        log2 of the block length.
-    indices : array-like
-        Strictly ascending 1-based row indices.
-
-    Returns
-    -------
-    GF2Matrix
-        (len(indices), 2**n) submatrix.
-    """
-    size = 1 << n
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("indices must be one-dimensional")
-    if idx.size and (idx.min() < 1 or idx.max() > size):
-        raise ValueError(f"indices must lie in 1..{size}")
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("indices must be strictly ascending")
-    # row i of F^{(n)} equals the transform of the i-th unit vector
-    units = np.zeros((idx.size, size), dtype=np.uint8)
-    units[np.arange(idx.size), idx - 1] = 1
-    return GF2Matrix.from_dense(polar_transform(units))
 
 
 # ---------------------------------------------------------------------------

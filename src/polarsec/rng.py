@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_rng(seed: int, label: str) -> np.random.Generator:
     """Return a Generator keyed by ``(seed, label)``.
@@ -19,21 +17,26 @@ def derive_rng(seed: int, label: str) -> np.random.Generator:
     Parameters
     ----------
     seed : int
-        Master seed (any non-negative integer; reduced mod 2**64).
+        Master seed, any non-negative integer (no size limit).
     label : str
         Purpose tag, e.g. ``"keygen"`` or ``"channel"``.
     """
-    entropy = [seed & _MASK64, *label.encode("utf-8")]
+    entropy = [seed, *label.encode("utf-8")]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def parse_seed(text: str) -> int:
-    """Parse a hex (with or without ``0x``) or decimal seed string."""
+    """Parse a hex (with or without ``0x``) or decimal seed string; a
+    negative seed is rejected."""
     text = text.strip().lower()
     try:
         if text.startswith("0x"):
-            return int(text, 16)
-        # bare hex like "c0ffee" is accepted too; plain digits parse as decimal
-        return int(text, 10) if text.isdigit() else int(text, 16)
+            seed = int(text, 16)
+        else:
+            # bare hex like "c0ffee" is accepted too; plain digits parse as decimal
+            seed = int(text, 10) if text.isdigit() else int(text, 16)
     except ValueError as exc:
         raise ValueError(f"cannot parse seed {text!r} (expected decimal or hex)") from exc
+    if seed < 0:
+        raise ValueError(f"seed {text!r} is negative")
+    return seed

@@ -21,6 +21,7 @@ from polarsec.analysis import (
 )
 from polarsec.cipher import CipherContext
 from polarsec.keys import KeyParams, generate_key, reference_params
+from polarsec.polar import kernel_power
 from polarsec.rng import derive_rng
 
 # union-bound values recomputed independently and pinned before the
@@ -151,7 +152,7 @@ def test_perturbation_weights_exhaustive_small():
     assert stats.histogram.sum() == stats.samples
     assert stats.min == 0  # zero syndrome gives the zero perturbation
     # mean weight is half the nonzero columns of the frozen-row span
-    span = ctx.frozen_rows.to_dense()
+    span = kernel_power(p.n)[ctx.plan.frozen0]
     nonzero_cols = int((span.any(axis=0)).sum())
     assert stats.mean == nonzero_cols / 2
 

@@ -64,7 +64,7 @@ def test_error_space_pinned_oracle_is_degenerate():
     assert space.saturated
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(shape=st.integers(3, 4).flatmap(
            lambda n: st.tuples(st.just(n), st.integers(2, min(8, (1 << n) - 1)))),
        mode=st.sampled_from(["lfsr", "uniform", "pinned"]),

@@ -75,6 +75,14 @@ def test_seed_falls_back_to_environment(tmp_path, capsys, monkeypatch):
     assert explicit.read_bytes() == ambient.read_bytes()
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "neg.pkc"
+    code, _, err = run(capsys, "keygen", "--n", "6", "--seed", "-5", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "negative" in err
+    assert not out.exists()
+
+
 def test_keygen_record_reports_key_sizes(tmp_path, capsys):
     code, out, _ = run(capsys, "keygen", "--seed", "1",
                        "--out", str(tmp_path / "ref.pkc"),

@@ -1,14 +1,47 @@
 """Bit-packed GF(2) linear algebra against dense numpy references."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polarsec.gf2 import (
     GF2Matrix,
     SingularMatrixError,
     mul_bits_matrix,
     pack_rows,
+    rref,
     unpack_rows,
 )
+
+
+def dense_pivots(a: np.ndarray) -> list[int]:
+    """Pivot columns by forward elimination on a dense 0/1 array."""
+    a = a.astype(np.uint8)
+    found: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(found)
+        rows = np.flatnonzero(a[r:, c]) + r
+        if rows.size == 0:
+            continue
+        a[[r, rows[0]]] = a[[rows[0], r]]
+        below = np.flatnonzero(a[r + 1 :, c]) + r + 1
+        a[below] ^= a[r]
+        found.append(c)
+    return found
+
+
+@st.composite
+def matrices(draw, max_rows=70, max_cols=130, square=False):
+    """Random 0/1 matrices, often rank-deficient: a product of random
+    (rows x r) and (r x cols) factors mod 2 has rank at most r."""
+    widths = st.one_of(st.integers(1, max_cols), st.sampled_from([63, 64, 65, 128, 129]))
+    rows = draw(st.integers(1, max_rows))
+    cols = rows if square else draw(widths)
+    inner = draw(st.integers(0, max(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, 2, size=(rows, inner))
+    right = rng.integers(0, 2, size=(inner, cols))
+    return ((left @ right) % 2).astype(np.uint8)
 
 
 def test_pack_unpack_round_trip():
@@ -31,21 +64,11 @@ def test_from_dense_to_dense_identity():
 
 
 def test_identity_and_zeros():
-    eye = GF2Matrix.identity(9)
+    eye = GF2Matrix.from_dense(np.eye(9, dtype=np.uint8))
     assert np.array_equal(eye.to_dense(), np.eye(9, dtype=np.uint8))
     z = GF2Matrix.from_dense(np.zeros((4, 11), dtype=np.uint8))
     assert z.nrows == 4 and z.ncols == 11
     assert not z.words.any()
-
-
-def test_matmul_matches_dense_reference():
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
-        a = rng.integers(0, 2, size=(int(rng.integers(1, 40)), int(rng.integers(1, 40))),
-                         dtype=np.uint8)
-        b = rng.integers(0, 2, size=(a.shape[1], int(rng.integers(1, 40))), dtype=np.uint8)
-        got = (GF2Matrix.from_dense(a) @ GF2Matrix.from_dense(b)).to_dense()
-        assert np.array_equal(got, (a.astype(np.int64) @ b) % 2)
 
 
 def test_vecmat_matches_dense_reference():
@@ -58,8 +81,9 @@ def test_vecmat_matches_dense_reference():
 
 
 def test_rank_known_cases():
-    assert GF2Matrix.identity(12).rank() == 12
-    assert GF2Matrix.identity(12).pivots().tolist() == list(range(12))
+    eye = GF2Matrix.from_dense(np.eye(12, dtype=np.uint8))
+    assert eye.rank() == 12
+    assert eye.pivots().tolist() == list(range(12))
     zeros = GF2Matrix.from_dense(np.zeros((5, 5), dtype=np.uint8))
     assert zeros.rank() == 0
     assert zeros.pivots().tolist() == []
@@ -74,17 +98,18 @@ def test_rank_known_cases():
 
 def test_inverse_round_trip():
     rng = np.random.default_rng(88)
-    eye = GF2Matrix.identity(17)
+    eye = np.eye(17, dtype=np.int64)
     found = 0
-    while found < 10:
+    for _ in range(100):  # about 29% of random 17x17 matrices are nonsingular
         dense = rng.integers(0, 2, size=(17, 17), dtype=np.uint8)
         m = GF2Matrix.from_dense(dense)
         if not m.is_nonsingular():
             continue
         found += 1
-        inv = m.inverse()
-        assert (m @ inv) == eye
-        assert (inv @ m) == eye
+        inv = m.inverse().to_dense().astype(np.int64)
+        assert np.array_equal((dense @ inv) % 2, eye)
+        assert np.array_equal((inv @ dense) % 2, eye)
+    assert found >= 10
 
 
 def test_inverse_rejects_singular():
@@ -94,13 +119,54 @@ def test_inverse_rejects_singular():
     assert not m.is_nonsingular()
     with pytest.raises(SingularMatrixError):
         m.inverse()
+    with pytest.raises(SingularMatrixError):
+        GF2Matrix.from_dense(dense[:2]).inverse()
+
+
+@given(matrices())
+def test_pivots_and_rank_match_dense_elimination(dense):
+    m = GF2Matrix.from_dense(dense)
+    want = dense_pivots(dense)
+    assert m.pivots().tolist() == want
+    assert m.rank() == len(want)
+    assert m.is_nonsingular() == (dense.shape[0] == dense.shape[1] == len(want))
+
+
+@given(matrices())
+def test_rref_records_its_row_operations(dense):
+    # reducing [A | I]: the left half is reduced row echelon form, and the
+    # right half is the row operations, so right @ A == left
+    rows, cols = dense.shape
+    words = pack_rows(np.hstack([dense, np.eye(rows, dtype=np.uint8)]))
+    reduced, pivots = rref(words, cols)
+    out = unpack_rows(reduced, cols + rows).astype(np.int64)
+    left, right = out[:, :cols], out[:, cols:]
+    assert np.array_equal((right @ dense) % 2, left)
+    rank = pivots.size
+    assert np.array_equal(left[:rank, pivots], np.eye(rank, dtype=np.int64))
+    assert not left[rank:].any()
+    for i, col in enumerate(pivots):
+        assert not left[i, :col].any()
+    assert np.array_equal(unpack_rows(words, cols), dense)  # input untouched
+
+
+@given(matrices(square=True))
+def test_inverse_is_singular_exactly_below_full_rank(dense):
+    n = dense.shape[0]
+    m = GF2Matrix.from_dense(dense)
+    if len(dense_pivots(dense)) < n:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse().to_dense().astype(np.int64)
+    assert np.array_equal((dense.astype(np.int64) @ inv) % 2, np.eye(n, dtype=np.int64))
 
 
 def test_row_and_col_weights():
     rng = np.random.default_rng(63)
     dense = rng.integers(0, 2, size=(21, 90), dtype=np.uint8)
     m = GF2Matrix.from_dense(dense)
-    assert np.array_equal(m.row_weights(), dense.sum(axis=1))
+    assert np.array_equal(np.bitwise_count(m.words).sum(axis=1), dense.sum(axis=1))
     assert np.array_equal(m.to_dense().sum(axis=0), dense.sum(axis=0))
 
 

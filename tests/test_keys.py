@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polarsec import gf2
 from polarsec.gf2 import GF2Matrix, SingularMatrixError
 from polarsec.keys import (
     KeyFormatError,
@@ -97,7 +98,8 @@ def test_scrambler_structure_and_weights():
     assert s.is_nonsingular()
     # block-circulant with the diagonal parity adjustment: row and
     # column weights sit at k0*mu_s +/- 1
-    weights = set(s.row_weights().tolist()) | set(s.to_dense().sum(axis=0).tolist())
+    dense = s.to_dense()
+    weights = set(dense.sum(axis=1).tolist()) | set(dense.sum(axis=0).tolist())
     assert weights <= {p.k0 * p.mu_s - 1, p.k0 * p.mu_s + 1}
 
 
@@ -151,7 +153,7 @@ def test_identity_scrambler_valid_single_block():
     # k0 = 1, mu_s = 1, offset 0 is exactly the identity
     p = small_params(k0=1, n0=2, l=32, mu_s=1, taps=(32, 22, 2, 1))
     s = decompress_scrambler(np.array([1], dtype=np.int64), p)
-    assert s == GF2Matrix.identity(32)
+    assert np.array_equal(s.to_dense(), np.eye(32, dtype=np.uint8))
     assert s.is_nonsingular()
 
 
@@ -206,10 +208,21 @@ def test_golden_key_files():
         "62c92b00e00b96dcf1d0ffd1378d15575488b8d6d26747fb9f9d21e83954aad9")
 
 
+def test_seed_bits_past_64_reach_the_key():
+    # derive_rng keeps every bit of the seed: a 256-bit seed and its low
+    # 64 bits give different keys
+    seed = int.from_bytes(hashlib.sha256(b"wide seed").digest(), "little")
+    low = seed & ((1 << 64) - 1)
+    wide = generate_key(small_params(), derive_rng(seed, "keygen"))
+    assert wide != generate_key(small_params(), derive_rng(low, "keygen"))
+    assert wide == generate_key(small_params(), derive_rng(seed, "keygen"))
+
+
 def test_key_life_cycle_runs_no_elimination(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("GF(2) elimination during key handling")
 
+    monkeypatch.setattr(gf2, "rref", refuse)
     for name in ("rank", "pivots", "inverse"):
         monkeypatch.setattr(GF2Matrix, name, refuse)
     key = generate_key(reference_params(), derive_rng(3, "keygen"))

@@ -1,6 +1,8 @@
 """Syndrome register behavior: clocking, periods, primitivity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsec import lfsr
 from polarsec.lfsr import (
@@ -39,21 +41,27 @@ def test_next_syndrome_is_state_then_degree_clocks():
                 b.clock()
 
 
-def test_block_step_matrix_built_once_per_tap_set(monkeypatch):
-    calls = []
-
-    def counted(m, e):
-        calls.append(e)
-        return power(m, e)
-
-    power = lfsr._matrix_power
-    monkeypatch.setattr(lfsr, "_matrix_power", counted)
+def test_block_step_matrix_built_once_per_tap_set():
     lfsr._block_step_matrix.cache_clear()
     taps = taps_for_degree(12)
     first = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
     second = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
-    assert calls == [12]
+    info = lfsr._block_step_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(first, second)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_block_step_matrix_is_degree_single_clocks(data):
+    for taps in DEFAULT_TAPS.values():
+        degree = taps[0]
+        word = data.draw(st.integers(1, (1 << degree) - 1))
+        fill = ((word >> np.arange(degree)) & 1).astype(np.uint8)
+        reg = Lfsr(taps, fill)
+        for _ in range(degree):
+            reg.clock()
+        assert np.array_equal(lfsr._block_step_matrix(taps).vecmat(fill), reg.state)
 
 
 def test_syndromes_batch_equals_stepping():

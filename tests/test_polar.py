@@ -1,6 +1,5 @@
 """Polar code construction, the butterfly transform, and SC decoding."""
 import numpy as np
-import pytest
 
 from polarsec.analysis import simulate_round_trip
 from polarsec.keys import KeyParams, generate_key
@@ -11,7 +10,6 @@ from polarsec.polar import (
     bec_transmit,
     bhattacharyya,
     exhaustive_ambiguity,
-    generator_submatrix,
     kernel_power,
     polar_transform,
     sc_decode,
@@ -76,16 +74,6 @@ def test_transform_matches_kernel_power_exhaustively():
         u = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(np.uint8)
         want = (u.astype(np.int64) @ g) % 2
         assert np.array_equal(polar_transform(u.copy()), want.astype(np.uint8))
-
-
-def test_generator_submatrix_rows():
-    g = kernel_power(3)
-    sub = generator_submatrix(3, np.array([1, 4, 7]))
-    assert np.array_equal(sub.to_dense(), g[[0, 3, 6]])
-    with pytest.raises(ValueError):
-        generator_submatrix(3, np.array([0]))
-    with pytest.raises(ValueError):
-        generator_submatrix(3, np.array([9]))
 
 
 def test_encoding_injectivity_exhaustive():
