@@ -43,7 +43,6 @@ from .polar import (
     exhaustive_ambiguity,
     kernel_power,
     polar_transform,
-    sc_decode,
     sc_decode_batch,
     top_indices,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "reference_params",
     "reproduce_tables",
     "rn_attack",
-    "sc_decode",
     "sc_decode_batch",
     "security_report",
     "serialize_key",

@@ -13,13 +13,15 @@ syndrome never travels with the ciphertext.
 Internally the product with [G_A; G_Ac] is computed with the in-place
 butterfly (N log N bit operations), not with materialized matrices.
 
-Decryption reverses P and unscrambles with S^-1.  A block with no
-erasure is a codeword, so the transform (its own inverse) gives u and u_A
-is read off; only blocks with an erasure run successive-cancellation
-decoding with the frozen positions pinned to the session syndrome.  A
-session builds what each direction needs on first use: the scramble
-gather on first encrypt, S^-1 on first decrypt (for a key, inverted over
-the circulant ring, see :mod:`.keys`).
+Decryption works on batches only.  It reverses P and unscrambles with
+S^-1.  A block with no erasure is a codeword, so the transform (its own
+inverse) gives u and u_A is read off; only blocks with an erasure run the
+bitsliced successive-cancellation decoder of :mod:`.polar`, with the
+frozen positions pinned to the session syndrome.  A session builds what
+each direction needs on first use: the scramble gather on first encrypt,
+S^-1 on first decrypt (for a key, inverted over the circulant ring, see
+:mod:`.keys`).  Encryption also has a one-block call, which the attack
+oracles use.
 """
 from __future__ import annotations
 
@@ -172,16 +174,6 @@ class CipherContext:
         )
         return out[0]
 
-    def decrypt_with_syndrome(
-        self, received: np.ndarray, syndrome: np.ndarray
-    ) -> tuple[np.ndarray, bool]:
-        """Decrypt one block under an explicit syndrome (no LFSR step)."""
-        msg, amb = self.decrypt_blocks_with_syndromes(
-            np.asarray(received, dtype=np.int8)[None, :],
-            np.asarray(syndrome, dtype=np.uint8)[None, :],
-        )
-        return msg[0], bool(amb[0])
-
     def encrypt_blocks_with_syndromes(
         self, messages: np.ndarray, syndromes: np.ndarray
     ) -> np.ndarray:
@@ -239,18 +231,6 @@ class CipherContext:
         bits = self.encrypt_with_syndrome(message, syndrome)
         self.blocks_processed += 1
         return CiphertextBlock(bits=bits, sequence_number=seq)
-
-    def decrypt(self, received) -> tuple[np.ndarray, bool]:
-        """Decrypt the next block; accepts a CiphertextBlock or raw bits.
-
-        Returns ``(message, ambiguous)``; ambiguous is True when channel
-        erasures left some information bit undetermined (the undetermined
-        bits decode as 0).
-        """
-        bits = received.bits if isinstance(received, CiphertextBlock) else received
-        syndrome = self.lfsr.next_syndrome()
-        self.blocks_processed += 1
-        return self.decrypt_with_syndrome(np.asarray(bits, dtype=np.int8), syndrome)
 
     def encrypt_blocks(self, messages: np.ndarray) -> np.ndarray:
         """Encrypt a (batch, K) run of blocks, advancing the session."""

@@ -118,7 +118,9 @@ def _add_params(sp) -> None:
 
 
 def _resolve_seed(args) -> int:
-    text = getattr(args, "seed", None) or os.environ.get("PKC_SEED")
+    text = getattr(args, "seed", None)
+    if text is None:
+        text = os.environ.get("PKC_SEED")
     if text is None:
         return int.from_bytes(os.urandom(32), "little")
     return parse_seed(text)

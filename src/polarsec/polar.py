@@ -5,6 +5,9 @@ the 2x2 kernel ``[[1, 0], [1, 1]]`` and ``F^{(n)}`` its n-fold Kronecker
 power, with rows/columns in natural order (no bit-reversal).  Successive
 cancellation (SC) decoding over the BEC is exact message passing on
 erasures: a bit is either recovered or flagged ambiguous, never flipped.
+The decoder is bitsliced over the batch: each position is a pair of bit
+planes (known, value) holding one bit per block, 8 blocks per byte, so a
+node of the SC tree costs a few bitwise operations for the whole batch.
 
 Channel values are int8 with ``0``/``1`` for received bits and
 ``ERASED`` (-1) for erasures.
@@ -208,42 +211,53 @@ def top_indices(table: ReliabilityTable, k: int) -> np.ndarray:
 # successive cancellation decoding
 # ---------------------------------------------------------------------------
 
-def _sc_recurse(
-    y: np.ndarray,
+def _bit_planes(bits: np.ndarray) -> np.ndarray:
+    """(batch, P) bools as (P, W) uint8 planes, W = ceil(batch / 8).
+
+    Block ``8w + i`` is bit ``7 - i`` of byte ``w``, the layout of
+    ``np.packbits`` along the batch axis.  ``np.packbits`` is fast only
+    along a contiguous axis, so a row-major batch is packed as a weighted
+    sum over groups of 8 blocks instead.
+    """
+    if bits.flags.f_contiguous:
+        return np.packbits(bits.T, axis=1)
+    batch, planes = bits.shape
+    padded = np.zeros((-(-batch // 8) * 8, planes), dtype=bool)
+    padded[:batch] = bits
+    grouped = padded.view(np.uint8).reshape(padded.shape[0] // 8, 8, planes)
+    weights = np.uint8(1) << np.arange(7, -1, -1, dtype=np.uint8)
+    return np.ascontiguousarray(np.einsum("wbp,b->pw", grouped, weights))
+
+
+def _sc_planes(
+    known: np.ndarray,
+    val: np.ndarray,
     offset: int,
     frozen_mask: np.ndarray,
-    leaf_vals: np.ndarray,
-    u_out: np.ndarray,
+    u: np.ndarray,
     ambiguous: np.ndarray,
 ) -> np.ndarray:
-    """Decode one subtree; returns the re-encoded codeword estimate.
+    """Decode one subtree on bit planes; returns the re-encoded codeword.
 
-    ``y`` is (batch, span) int8 with -1 marking erasures.  ``leaf_vals``
-    carries frozen bit values at frozen positions (batch, N).  ``u_out``
-    and ``ambiguous`` are filled in place.
+    ``known`` and ``val`` are (span, W) uint8 planes, one bit per block:
+    ``known`` marks an unerased position and ``val`` its bit (meaningful
+    only where known).  ``u`` (N, W) holds the frozen planes and receives
+    the information planes; ``ambiguous`` (W,) collects unresolved
+    blocks.  Both are filled in place.
     """
-    span = y.shape[1]
-    if span == 1:
-        if frozen_mask[offset]:
-            u = leaf_vals[:, offset]
-        else:
-            seen = y[:, 0]
-            miss = seen < 0
-            np.logical_or(ambiguous, miss, out=ambiguous)
-            u = np.where(miss, 0, seen).astype(np.int8)
-        u_out[:, offset] = u
-        return u.astype(np.int8)[:, None]
-
-    half = span // 2
-    ya, yb = y[:, :half], y[:, half:]
-    both = (ya >= 0) & (yb >= 0)
-    # check-node step: XOR observable only when both halves are present
-    za = np.where(both, ya ^ yb, ERASED).astype(np.int8)
-    xa = _sc_recurse(za, offset, frozen_mask, leaf_vals, u_out, ambiguous)
-    # variable-node step: yb directly, else propagate ya corrected by xa
-    zb = np.where(yb >= 0, yb, np.where(ya >= 0, ya ^ xa, ERASED)).astype(np.int8)
-    xb = _sc_recurse(zb, offset + half, frozen_mask, leaf_vals, u_out, ambiguous)
-    return np.concatenate([xa ^ xb, xb], axis=1)
+    if known.shape[0] == 1:
+        if not frozen_mask[offset]:
+            u[offset] = known[0] & val[0]
+            ambiguous |= ~known[0]
+        return u[offset:offset + 1]
+    half = known.shape[0] // 2
+    ka, kb, va, vb = known[:half], known[half:], val[:half], val[half:]
+    # check node: the XOR is seen only where both halves are
+    xa = _sc_planes(ka & kb, va ^ vb, offset, frozen_mask, u, ambiguous)
+    # variable node: vb where seen, else va corrected by xa
+    vb = (kb & vb) | (~kb & (va ^ xa))
+    xb = _sc_planes(kb | ka, vb, offset + half, frozen_mask, u, ambiguous)
+    return np.concatenate([xa ^ xb, xb])
 
 
 def sc_decode_batch(
@@ -252,6 +266,10 @@ def sc_decode_batch(
     frozen_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode a batch of BEC outputs.
+
+    The batch is bitsliced: each position becomes a plane of
+    ``np.packbits`` bytes holding one bit per block, so every node of the
+    SC tree is a few bitwise operations for the whole batch.
 
     Parameters
     ----------
@@ -274,36 +292,21 @@ def sc_decode_batch(
     if y.ndim != 2 or y.shape[1] != plan.block_length:
         raise ValueError(f"y must be (batch, {plan.block_length})")
     batch = y.shape[0]
-    size = plan.block_length
-
-    frozen_mask = np.zeros(size, dtype=bool)
-    frozen_mask[plan.frozen0] = True
-    leaf_vals = np.zeros((batch, size), dtype=np.int8)
+    known, val = _bit_planes(y >= 0), _bit_planes(y > 0)
+    u = np.zeros_like(known)
     if frozen_values is None:
-        leaf_vals[:, plan.frozen0] = plan.frozen_values.astype(np.int8)
+        u[plan.frozen0] = np.where(plan.frozen_values, 0xFF, 0)[:, None]
     else:
         frozen_values = np.asarray(frozen_values, dtype=np.int8)
         if frozen_values.shape != (batch, plan.frozen0.size):
             raise ValueError("frozen_values must be (batch, N - K)")
-        leaf_vals[:, plan.frozen0] = frozen_values
-
-    u_out = np.zeros((batch, size), dtype=np.int8)
-    ambiguous = np.zeros(batch, dtype=bool)
-    _sc_recurse(y, 0, frozen_mask, leaf_vals, u_out, ambiguous)
-    info = u_out[:, plan.info0].astype(np.uint8)
-    return info, ambiguous
-
-
-def sc_decode(
-    y: np.ndarray,
-    plan: FrozenPlan,
-    frozen_values: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Single-block convenience wrapper around :func:`sc_decode_batch`."""
-    y = np.asarray(y, dtype=np.int8)
-    fv = None if frozen_values is None else np.asarray(frozen_values, dtype=np.int8)[None, :]
-    info, ambiguous = sc_decode_batch(y[None, :], plan, fv)
-    return info[0], bool(ambiguous[0])
+        u[plan.frozen0] = _bit_planes(frozen_values != 0)
+    frozen_mask = np.zeros(plan.block_length, dtype=bool)
+    frozen_mask[plan.frozen0] = True
+    ambiguous = np.zeros(known.shape[1], dtype=np.uint8)
+    _sc_planes(known, val, 0, frozen_mask, u, ambiguous)
+    info = np.unpackbits(u[plan.info0].T, axis=0, count=batch)
+    return info, np.unpackbits(ambiguous, count=batch).astype(bool)
 
 
 def exhaustive_ambiguity(plan: FrozenPlan, epsilon: float) -> float:

@@ -76,11 +76,13 @@ def test_seed_falls_back_to_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):
-    out = tmp_path / "neg.pkc"
-    code, _, err = run(capsys, "keygen", "--n", "6", "--seed", "-5", "--out", str(out))
-    assert code == EXIT_USAGE
-    assert "negative" in err
-    assert not out.exists()
+    # an empty seed is no seed to parse, not a request for a random one
+    for seed, reason in (("-5", "negative"), ("", "cannot parse")):
+        out = tmp_path / "neg.pkc"
+        code, _, err = run(capsys, "keygen", "--n", "6", "--seed", seed, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert reason in err
+        assert not out.exists()
 
 
 def test_keygen_record_reports_key_sizes(tmp_path, capsys):

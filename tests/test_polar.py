@@ -1,5 +1,7 @@
 """Polar code construction, the butterfly transform, and SC decoding."""
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarsec.analysis import simulate_round_trip
 from polarsec.keys import KeyParams, generate_key
@@ -12,7 +14,6 @@ from polarsec.polar import (
     exhaustive_ambiguity,
     kernel_power,
     polar_transform,
-    sc_decode,
     sc_decode_batch,
     top_indices,
 )
@@ -105,29 +106,31 @@ def test_bec_transmit_statistics():
 
 
 def _reference_sc(y, frozen_mask, leaf_vals):
-    """Straightforward scalar SC recursion used as the decoding oracle."""
+    """Straightforward scalar SC recursion used as the decoding oracle;
+    returns the re-encoded codeword, the leaf decisions and ambiguity."""
     n_bits = len(y)
     if n_bits == 1:
         if frozen_mask[0]:
-            return np.array([leaf_vals[0]], dtype=np.int8), False
-        if y[0] < 0:
-            return np.array([0], dtype=np.int8), True
-        return np.array([int(y[0])], dtype=np.int8), False
+            u, amb = int(leaf_vals[0]), False
+        else:
+            u, amb = max(int(y[0]), 0), bool(y[0] < 0)
+        return np.array([u], dtype=np.int8), np.array([u], dtype=np.int8), amb
     half = n_bits // 2
     ya, yb = y[:half], y[half:]
     za = np.where((ya >= 0) & (yb >= 0), ya ^ yb, ERASED)
-    xa, amb_a = _reference_sc(za, frozen_mask[:half], leaf_vals[:half])
+    xa, ua, amb_a = _reference_sc(za, frozen_mask[:half], leaf_vals[:half])
     zb = np.where(yb >= 0, yb, np.where(ya >= 0, ya ^ xa, ERASED))
-    xb, amb_b = _reference_sc(zb, frozen_mask[half:], leaf_vals[half:])
-    return np.concatenate([xa ^ xb, xb]), amb_a or amb_b
+    xb, ub, amb_b = _reference_sc(zb, frozen_mask[half:], leaf_vals[half:])
+    return np.concatenate([xa ^ xb, xb]), np.concatenate([ua, ub]), amb_a or amb_b
 
 
 def test_sc_decoder_matches_reference_exhaustively():
     # every erasure pattern, crossed with every message for n <= 2 and a
-    # random message sample at n = 3
+    # random message sample at n = 3; each message decodes as one batch
     rng = np.random.default_rng(314)
     for n in (1, 2, 3):
         size = 1 << n
+        masks = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(bool)
         for _ in range(4):
             k = int(rng.integers(1, size + 1))
             info = np.sort(rng.choice(size, size=k, replace=False)) + 1
@@ -146,37 +149,44 @@ def test_sc_decoder_matches_reference_exhaustively():
                 u[plan.info0] = msg
                 u[plan.frozen0] = frozen_vals
                 x = polar_transform(u[None, :].copy())[0]
-                for mask_bits in range(1 << size):
-                    y = x.astype(np.int8)
-                    erased = ((mask_bits >> np.arange(size)) & 1).astype(bool)
-                    y[erased] = ERASED
-                    got, got_amb = sc_decode(y, plan)
-                    _, want_amb = _reference_sc(y, frozen_mask, leaf_vals)
-                    assert got_amb == want_amb
-                    if not got_amb:
-                        # over the BEC, unambiguous SC decisions are exact
-                        assert np.array_equal(got, msg)
+                y = np.where(masks, ERASED, x.astype(np.int8))
+                got, got_amb = sc_decode_batch(y, plan)
+                want_amb = [_reference_sc(row, frozen_mask, leaf_vals)[2] for row in y]
+                assert got_amb.tolist() == want_amb
+                # over the BEC, unambiguous SC decisions are exact
+                assert np.array_equal(got[~got_amb], np.broadcast_to(msg, got[~got_amb].shape))
 
 
-def test_sc_decode_batch_agrees_with_single():
-    rng = np.random.default_rng(555)
-    n, k = 5, 20
+@settings(max_examples=120)
+@given(n=st.integers(1, 6),
+       batch=st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]) | st.integers(0, 70),
+       rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       per_block=st.booleans(), fortran=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sc_decode_batch_matches_reference(n, batch, rate, per_block, fortran, seed):
+    # arbitrary received words (codewords or not) over a random
+    # information set, every block against the scalar oracle; batch sizes
+    # around multiples of 8 cover the padding of the last plane byte
+    rng = np.random.default_rng(seed)
     size = 1 << n
-    info = np.sort(rng.choice(size, size=k, replace=False)) + 1
-    plan = FrozenPlan.from_info_set(n, info, rng.integers(0, 2, size=size - k,
+    info = np.flatnonzero(rng.integers(0, 2, size=size)) + 1
+    plan = FrozenPlan.from_info_set(n, info, rng.integers(0, 2, size=size - info.size,
                                                           dtype=np.uint8))
-    msgs = rng.integers(0, 2, size=(50, k), dtype=np.uint8)
-    u = np.zeros((50, size), dtype=np.uint8)
-    u[:, plan.info0] = msgs
-    u[:, plan.frozen0] = plan.frozen_values
-    y = bec_transmit(polar_transform(u), 0.15, rng)
-    batch, amb = sc_decode_batch(y, plan)
-    for i in range(50):
-        one, one_amb = sc_decode(y[i], plan)
-        assert one_amb == amb[i]
-        assert np.array_equal(one, batch[i])
-        if not amb[i]:
-            assert np.array_equal(batch[i], msgs[i])
+    frozen = (rng.integers(0, 2, size=(batch, size - info.size), dtype=np.uint8)
+              if per_block else np.broadcast_to(plan.frozen_values, (batch, size - info.size)))
+    bits = rng.integers(0, 2, size=(batch, size), dtype=np.int8)
+    y = np.where(rng.random((batch, size)) < rate, ERASED, bits)
+    got, amb = sc_decode_batch(np.asfortranarray(y) if fortran else y, plan,
+                               frozen if per_block else None)
+    assert got.shape == (batch, info.size) and amb.shape == (batch,)
+    frozen_mask = np.zeros(size, dtype=bool)
+    frozen_mask[plan.frozen0] = True
+    for i in range(batch):
+        leaf_vals = np.zeros(size, dtype=np.int8)
+        leaf_vals[plan.frozen0] = frozen[i]
+        _, want, want_amb = _reference_sc(y[i], frozen_mask, leaf_vals)
+        assert amb[i] == want_amb
+        assert np.array_equal(got[i], want[plan.info0])
 
 
 def test_per_block_frozen_values_override():
