@@ -10,18 +10,19 @@ s is the current (N-K)-bit LFSR syndrome, and P the secret permutation.
 Both endpoints clock the same LFSR from the shared initial fill, so the
 syndrome never travels with the ciphertext.
 
-Internally the product with [G_A; G_Ac] is computed with the in-place
-butterfly (N log N bit operations), not with materialized matrices.
+The block map is one fixed N x N matrix, C = [M, s] E with
+E = [S G_A; G_Ac] P, so encryption is one table product
+(:func:`.gf2.mul_bits_matrix`).
 
 Decryption works on batches only.  It reverses P and unscrambles with
-S^-1.  A block with no erasure is a codeword, so the transform (its own
-inverse) gives u and u_A is read off; only blocks with an erasure run the
-bitsliced successive-cancellation decoder of :mod:`.polar`, with the
-frozen positions pinned to the session syndrome.  A session builds what
-each direction needs on first use: the scramble gather on first encrypt,
-S^-1 on first decrypt (for a key, inverted over the circulant ring, see
-:mod:`.keys`).  Encryption also has a one-block call, which the attack
-oracles use.
+S^-1 by the same product.  A block with no erasure is a codeword, so the
+transform (its own inverse) gives u and u_A is read off; only blocks with
+an erasure run the bitsliced successive-cancellation decoder of
+:mod:`.polar`, with the frozen positions pinned to the session syndrome.
+A session builds what each direction needs on first use: E on first
+encrypt, S^-1 on first decrypt (for a key, inverted over the circulant
+ring, see :mod:`.keys`).  Encryption also has a one-block call, which the
+attack oracles use.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import GF2Matrix, mul_bits_matrix
+from .gf2 import GF2Matrix, mul_bits_matrix, pack_rows
 from .keys import SecretKey, perm_offsets_to_dst
 from .lfsr import Lfsr
 from .polar import FrozenPlan, polar_transform, sc_decode_batch
@@ -136,33 +137,33 @@ class CipherContext:
         return self._scrambler_inverse()
 
     @cached_property
-    def _scramble_gather(self) -> np.ndarray:
-        """Column supports of S padded to equal width, built on first
-        encrypt; K is a dummy index pointing at an appended zero column."""
-        dense = self.scrambler.to_dense()
-        supports = [np.nonzero(dense[:, j])[0] for j in range(self.num_info)]
-        width = max((s.size for s in supports), default=0)
-        gather = np.full((self.num_info, max(width, 1)), self.num_info, dtype=np.int64)
-        for j, s in enumerate(supports):
-            gather[j, : s.size] = s
-        return gather
+    def _encryption_map(self) -> GF2Matrix:
+        """E, read-only, built on first encrypt.  Column c of F P is column
+        src[c] of F, and F[i, j] = 1 exactly when j's bits lie within i's;
+        row i of S G_A P is the XOR of G_A P's rows over S's row i."""
+        size, index = self.block_length, np.min_scalar_type(self.block_length - 1)
+        src = np.empty(size, dtype=index)
+        src[self.perm_dst] = np.arange(size)
+        info, frozen = (pack_rows((src & ~at.astype(index)[:, None]) == 0)
+                        for at in (self.plan.info0, self.plan.frozen0))
+        words = np.vstack([np.zeros_like(info), frozen])
+        rows, cols = np.nonzero(self.scrambler.to_dense())
+        supported = np.unique(rows)  # reduceat gives an empty row a row, not zero
+        words[supported] = np.bitwise_xor.reduceat(
+            info[cols], np.searchsorted(rows, supported), axis=0)
+        words.setflags(write=False)
+        return GF2Matrix(size, size, words)
 
     def encryption_matrix(self) -> GF2Matrix:
         """G' = S G_A P, the effective K x N one-block encryption map: the
-        transform of S's rows placed on the information set, permuted."""
-        u = np.zeros((self.num_info, self.block_length), dtype=np.uint8)
-        u[:, self.plan.info0] = self.scrambler.to_dense()
-        x = polar_transform(u)
-        out = np.empty_like(x)
-        out[:, self.perm_dst] = x
-        return GF2Matrix.from_dense(out)
+        first K rows of E, read-only."""
+        e = self._encryption_map
+        return GF2Matrix(self.num_info, e.ncols, e.words[: self.num_info])
 
     def perturbation(self, syndrome: np.ndarray) -> np.ndarray:
-        """The additive codeword offset ``s G_Ac`` (before permutation)."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        u = np.zeros(self.block_length, dtype=np.uint8)
-        u[self.plan.frozen0] = syndrome
-        return polar_transform(u)
+        """The additive codeword offset ``s G_Ac`` (before permutation): the
+        encryption of the zero message, with P undone."""
+        return self.encrypt_with_syndrome(np.zeros(self.num_info), syndrome)[self.perm_dst]
 
     # ---- stateless one-block primitives ------------------------------
 
@@ -181,17 +182,9 @@ class CipherContext:
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if messages.ndim != 2 or messages.shape[1] != self.num_info:
             raise ValueError(f"messages must be (batch, {self.num_info})")
-        b = messages.shape[0]
-        if syndromes.shape != (b, self.block_length - self.num_info):
+        if syndromes.shape != (len(messages), self.block_length - self.num_info):
             raise ValueError("syndromes must be (batch, N - K)")
-        scrambled = self._scramble(messages)
-        u = np.zeros((b, self.block_length), dtype=np.uint8)
-        u[:, self.plan.info0] = scrambled
-        u[:, self.plan.frozen0] = syndromes
-        x = polar_transform(u)
-        out = np.empty_like(x)
-        out[:, self.perm_dst] = x
-        return out
+        return mul_bits_matrix(np.hstack([messages, syndromes]), self._encryption_map)
 
     def decrypt_blocks_with_syndromes(
         self, received: np.ndarray, syndromes: np.ndarray
@@ -213,14 +206,6 @@ class CipherContext:
             )
         messages = mul_bits_matrix(scrambled, self.scrambler_inv)
         return messages, ambiguous
-
-    def _scramble(self, messages: np.ndarray) -> np.ndarray:
-        """Batch M @ S via gather-XOR over the sparse column supports."""
-        padded = np.concatenate(
-            [messages, np.zeros((messages.shape[0], 1), dtype=np.uint8)], axis=1
-        )
-        gathered = padded[:, self._scramble_gather]  # (batch, K, width)
-        return np.bitwise_xor.reduce(gathered, axis=2)
 
     # ---- stateful session API ----------------------------------------
 

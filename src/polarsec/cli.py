@@ -211,11 +211,12 @@ def cmd_decrypt(args) -> int:
     payload = _read_bytes(args.infile)
     ctx = CipherContext(key)
     received = unpack_ciphertext(payload, ctx.block_length)
-    messages, _ambiguous = ctx.decrypt_blocks(received)
+    messages, ambiguous = ctx.decrypt_blocks(received)
     data = unframe_plaintext(messages)
     _write_bytes(args.out, data)
     _emit(args, "decrypt", {
         "in_bytes": len(payload), "blocks": received.shape[0],
+        "ambiguous_blocks": int(np.count_nonzero(ambiguous)),
         "out_bytes": len(data),
     })
     return EXIT_OK

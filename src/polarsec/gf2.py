@@ -2,15 +2,15 @@
 
 Matrices are stored row-major with each row packed into 64-bit words,
 little-endian bit order (bit ``j`` of a row lives in word ``j // 64`` at
-bit position ``j % 64``).  All arithmetic is XOR/AND based: one
-Gauss-Jordan routine (:func:`rref`) behind rank, pivot columns and the
-inverse, and two products, row-XOR accumulation for a single row
-(:meth:`GF2Matrix.vecmat`) and AND+popcount parity for a batch
-(:func:`mul_bits_matrix`).
+bit position ``j % 64``).  All arithmetic is XOR based: one Gauss-Jordan
+routine (:func:`rref`) behind rank, pivot columns and the inverse; one
+product, the Four-Russians table product :func:`mul_bits_matrix`; and
+:meth:`GF2Matrix.vecmat` for the syndrome register's block step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +51,8 @@ def pack_rows(dense: np.ndarray) -> np.ndarray:
 
 def unpack_rows(words: np.ndarray, ncols: int) -> np.ndarray:
     """Inverse of :func:`pack_rows`; returns a (rows, ncols) uint8 array."""
-    nrows = words.shape[0]
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :ncols].copy()
+    return np.unpackbits(as_bytes, axis=1, count=ncols, bitorder="little")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +89,18 @@ class GF2Matrix:
         )
 
     # ---- arithmetic ---------------------------------------------------
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        """Four-Russians tables, built on first product: row ``16 c + t`` is
+        the XOR of rows ``4 c + j`` over the bits ``j`` of ``t``, with the
+        rows zero-padded to a multiple of 8."""
+        rows = np.zeros((-(-self.nrows // 8) * 8, self.words.shape[1]), dtype=np.uint64)
+        rows[: self.nrows] = self.words
+        tables = np.zeros((len(rows) // 4, 16, rows.shape[1]), dtype=np.uint64)
+        for j in range(4):
+            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::4, None]
+        return tables.reshape(-1, rows.shape[1])
 
     def vecmat(self, v: np.ndarray) -> np.ndarray:
         """Row-vector product ``v @ self`` over GF(2).
@@ -186,7 +196,8 @@ def rref(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
-    """Batch row-vector product ``V @ m`` over GF(2) via AND+popcount parity.
+    """Batch row-vector product ``V @ m`` over GF(2): each nibble of a
+    packed vector picks one row of ``m.tables``, 64 vectors at a time.
 
     Parameters
     ----------
@@ -202,10 +213,11 @@ def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
     v_batch = np.asarray(v_batch, dtype=np.uint8)
     if v_batch.ndim != 2 or v_batch.shape[1] != m.nrows:
         raise ValueError("batch shape does not match matrix rows")
-    vw = pack_rows(v_batch)
-    cols = pack_rows(m.to_dense().T)  # (ncols, words-over-nrows)
-    out = np.empty((v_batch.shape[0], m.ncols), dtype=np.uint8)
-    for j in range(m.ncols):
-        acc = np.bitwise_count(vw & cols[j]).sum(axis=1)
-        out[:, j] = acc & 1
-    return out
+    packed = np.packbits(v_batch, axis=1, bitorder="little")
+    offsets = 16 * np.arange(2 * packed.shape[1])[:, None]
+    nibbles = np.stack([packed & 15, packed >> 4], axis=2).reshape(len(packed), len(offsets))
+    out = np.empty((len(packed), m.words.shape[1]), dtype=np.uint64)
+    for lo in range(0, len(packed), 64):
+        picked = m.tables[offsets + nibbles[lo : lo + 64].T]  # (groups, rows, words)
+        out[lo : lo + 64] = np.bitwise_xor.reduce(picked, axis=0)
+    return unpack_rows(out, m.ncols)

@@ -19,7 +19,7 @@ from polarsec.cipher import (
 )
 from polarsec.gf2 import GF2Matrix, mul_bits_matrix
 from polarsec.keys import KeyParams, generate_key, reference_params
-from polarsec.polar import ERASED, bec_transmit, kernel_power, sc_decode_batch
+from polarsec.polar import ERASED, bec_transmit, kernel_power, polar_transform, sc_decode_batch
 from polarsec.rng import derive_rng
 
 SMALL = KeyParams(n=6, k0=6, n0=8, l=8, mu_s=2, epsilon=0.05, pool=64,
@@ -92,6 +92,40 @@ def test_encryption_matrix_matches_dense_reference(key, reference_key):
         want = np.empty_like(sga)
         want[:, ctx.perm_dst] = sga
         assert np.array_equal(ctx.encryption_matrix().to_dense(), want.astype(np.uint8))
+        assert not ctx.encryption_matrix().words.flags.writeable
+
+
+def layered_encrypt(ctx, messages, syndromes):
+    """C = (M S G_A + s G_Ac) P one layer at a time: dense M S, placement
+    on the information and frozen positions, the butterfly, then the
+    scatter by P."""
+    u = np.zeros((len(messages), ctx.block_length), dtype=np.uint8)
+    u[:, ctx.plan.info0] = (messages.astype(np.int64) @ ctx.scrambler.to_dense()) % 2
+    u[:, ctx.plan.frozen0] = syndromes
+    x = polar_transform(u)
+    out = np.empty_like(x)
+    out[:, ctx.perm_dst] = x
+    return out
+
+
+@settings(max_examples=40)
+@given(which=st.sampled_from(["small", "toy", "toy4", "reference"]),
+       batch=st.sampled_from([0, 1, 63, 64, 65, 130]), seed=st.integers(0, 2**32 - 1))
+def test_encrypt_matches_layered_reference(key, reference_key, which, batch, seed):
+    # the table product against the layers it replaces, on a block-circulant
+    # S (SMALL and the reference key) and on dense toy scramblers
+    ctx = {
+        "small": lambda: CipherContext(key),
+        "toy": TOY.context,
+        "toy4": lambda: build_toy_instance(4, 10, seed=seed % 8).context(),
+        "reference": lambda: CipherContext(reference_key),
+    }[which]()
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, 2, size=(batch, ctx.num_info), dtype=np.uint8)
+    syn = rng.integers(0, 2, size=(batch, ctx.block_length - ctx.num_info), dtype=np.uint8)
+    got = ctx.encrypt_blocks_with_syndromes(msgs, syn)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, layered_encrypt(ctx, msgs, syn))
 
 
 def test_golden_ciphertext(reference_key):
@@ -222,7 +256,7 @@ def test_sessions_build_only_what_they_use(monkeypatch):
     assert not amb.any()
     assert unframe_plaintext(blocks) == data
     assert "scrambler_inv" not in sender.__dict__
-    assert "_scramble_gather" not in receiver.__dict__
+    assert "_encryption_map" not in receiver.__dict__
 
 
 def test_from_components_matches_key_construction(key):
@@ -246,7 +280,7 @@ def test_unscramble_inverts_scramble(key):
     ctx = CipherContext(key)
     rng = derive_rng(8, "scr")
     msgs = rng.integers(0, 2, size=(50, SMALL.num_info), dtype=np.uint8)
-    scrambled = ctx._scramble(msgs)
+    scrambled = (msgs.astype(np.int64) @ ctx.scrambler.to_dense()) % 2
     back = mul_bits_matrix(scrambled, ctx.scrambler_inv)
     assert np.array_equal(back, msgs)
 

@@ -51,9 +51,12 @@ def test_encrypt_decrypt_round_trip(tmp_path, capsys, small_key):
     assert code == EXIT_OK
     name, fields = parse_records(out)[0]
     assert name == "encrypt" and fields["in_bytes"] == "300"
-    code, _, _ = run(capsys, "decrypt", "--key", str(small_key),
-                     "--in", str(cipher), "--out", str(back))
+    code, out, _ = run(capsys, "decrypt", "--key", str(small_key),
+                       "--in", str(cipher), "--out", str(back),
+                       "--format", "records")
     assert code == EXIT_OK
+    name, fields = parse_records(out)[0]
+    assert name == "decrypt" and fields["ambiguous_blocks"] == "0"
     assert back.read_bytes() == payload
 
 

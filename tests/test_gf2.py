@@ -180,6 +180,24 @@ def test_mul_bits_matrix_matches_vecmat():
     assert np.array_equal(got, want)
 
 
+SIZES = [1, 4, 7, 8, 9, 12, 20, 63, 64, 65, 129]
+
+
+@given(rows=st.sampled_from(SIZES), cols=st.sampled_from(SIZES),
+       batch=st.sampled_from([0, 1, 63, 64, 65, 130]), seed=st.integers(0, 2**32 - 1))
+def test_mul_bits_matrix_matches_dense_product(rows, cols, batch, seed):
+    # every row count mod 8 (a last byte with one or two nibbles), batches
+    # around the 64-vector block, and a matrix whose words are read-only
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    v = rng.integers(0, 2, size=(batch, rows), dtype=np.uint8)
+    m = GF2Matrix.from_dense(a)
+    m.words.setflags(write=False)
+    got = mul_bits_matrix(v, m)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, (v.astype(np.int64) @ a) % 2)
+
+
 def test_equality_and_copy():
     rng = np.random.default_rng(9)
     dense = rng.integers(0, 2, size=(6, 50), dtype=np.uint8)

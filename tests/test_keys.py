@@ -219,12 +219,14 @@ def test_seed_bits_past_64_reach_the_key():
 
 
 def test_key_life_cycle_runs_no_elimination(monkeypatch):
+    # nor a product table: key handling stays out of set-up time
     def refuse(self, *args):
-        raise AssertionError("GF(2) elimination during key handling")
+        raise AssertionError("GF(2) elimination or product table during key handling")
 
     monkeypatch.setattr(gf2, "rref", refuse)
     for name in ("rank", "pivots", "inverse"):
         monkeypatch.setattr(GF2Matrix, name, refuse)
+    monkeypatch.setattr(GF2Matrix, "tables", property(refuse))
     key = generate_key(reference_params(), derive_rng(3, "keygen"))
     assert deserialize_key(serialize_key(key)) == key
 
