@@ -185,6 +185,8 @@ def collect_error_space(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if oracle.block_length > 64:
+        raise ValueError(f"N = {oracle.block_length} does not fit a 64-bit ciphertext word")
     n_e = 1 << oracle.gap
     if window is None:
         # expected full-collection time for n_e coupons, with a floor
@@ -346,8 +348,9 @@ def rn_attack(
         )
 
     # stage 4: assemble and verify on held-out random messages
-    grids = np.meshgrid(*candidates, indexing="ij") if k > 1 else [candidates[0]]
-    survivors = np.stack([g.reshape(-1) for g in grids], axis=1)  # (total, K)
+    sizes = [c.size for c in candidates]  # every combination, the last row varying fastest
+    survivors = np.stack([np.tile(np.repeat(c, math.prod(sizes[i + 1 :])), math.prod(sizes[:i]))
+                          for i, c in enumerate(candidates)], axis=1)  # (total, K)
     checked = 0
     while checked < verify_cap and (survivors.shape[0] > 1 or checked < verify_pairs):
         msg = rng.integers(0, 2, size=k, dtype=np.uint8)

@@ -125,8 +125,7 @@ class CipherContext:
             raise ValueError("perm_dst must be a permutation of 0..N-1")
         self.perm_dst = perm_dst
         self.lfsr = Lfsr(taps, lfsr_state)
-        if start_block:
-            self.lfsr.syndromes(start_block)  # burn to the session offset
+        self.lfsr.skip(start_block)  # jump to the session offset, O(log start_block)
         self.blocks_processed = start_block
 
     # ---- derived matrices --------------------------------------------

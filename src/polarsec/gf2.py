@@ -3,9 +3,9 @@
 Matrices are stored row-major with each row packed into 64-bit words,
 little-endian bit order (bit ``j`` of a row lives in word ``j // 64`` at
 bit position ``j % 64``).  All arithmetic is XOR based: one Gauss-Jordan
-routine (:func:`rref`) behind rank, pivot columns and the inverse; one
-product, the Four-Russians table product :func:`mul_bits_matrix`; and
-:meth:`GF2Matrix.vecmat` for the syndrome register's block step.
+routine (:func:`rref`) behind rank, pivot columns and the inverse, and
+one product, :func:`mul_bits_matrix`: the XOR of the selected rows for a
+single vector, Four-Russians tables for a batch.
 """
 from __future__ import annotations
 
@@ -102,28 +102,6 @@ class GF2Matrix:
             tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::4, None]
         return tables.reshape(-1, rows.shape[1])
 
-    def vecmat(self, v: np.ndarray) -> np.ndarray:
-        """Row-vector product ``v @ self`` over GF(2).
-
-        Parameters
-        ----------
-        v : ndarray
-            Length-``nrows`` 0/1 vector.
-
-        Returns
-        -------
-        ndarray
-            Dense length-``ncols`` 0/1 vector.
-        """
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape != (self.nrows,):
-            raise ValueError(f"vector length {v.shape} does not match {self.nrows} rows")
-        sel = self.words[v.astype(bool)]
-        if sel.shape[0] == 0:
-            return np.zeros(self.ncols, dtype=np.uint8)
-        acc = np.bitwise_xor.reduce(sel, axis=0)
-        return unpack_rows(acc[None, :], self.ncols)[0]
-
     # ---- elimination --------------------------------------------------
 
     def pivots(self) -> np.ndarray:
@@ -196,8 +174,10 @@ def rref(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
-    """Batch row-vector product ``V @ m`` over GF(2): each nibble of a
-    packed vector picks one row of ``m.tables``, 64 vectors at a time.
+    """Batch row-vector product ``V @ m`` over GF(2).  One vector is the
+    XOR of the rows it selects, with no tables built; in a larger batch
+    each nibble of a packed vector picks one row of ``m.tables``, 64
+    vectors at a time.
 
     Parameters
     ----------
@@ -213,6 +193,9 @@ def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
     v_batch = np.asarray(v_batch, dtype=np.uint8)
     if v_batch.ndim != 2 or v_batch.shape[1] != m.nrows:
         raise ValueError("batch shape does not match matrix rows")
+    if len(v_batch) == 1:
+        picked = m.words[v_batch[0].astype(bool)]
+        return unpack_rows(np.bitwise_xor.reduce(picked, axis=0, keepdims=True), m.ncols)
     packed = np.packbits(v_batch, axis=1, bitorder="little")
     offsets = 16 * np.arange(2 * packed.shape[1])[:, None]
     nibbles = np.stack([packed & 15, packed >> 4], axis=2).reshape(len(packed), len(offsets))

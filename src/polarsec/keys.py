@@ -560,6 +560,8 @@ def deserialize_key(data: bytes) -> SecretKey:
     (epsilon,) = r.unpack("<d")
     (tap_count,) = r.unpack("<B")
     taps = r.unpack(f"<{tap_count}H")
+    if any(a <= b for a, b in zip(taps, taps[1:])):
+        raise KeyFormatError(f"LFSR taps {taps} must be strictly descending")
     try:
         params = KeyParams(
             n=n, k0=k0, n0=n0, l=l, mu_s=mu_s, epsilon=epsilon, pool=pool,

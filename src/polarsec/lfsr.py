@@ -9,14 +9,17 @@ coefficient, the degree itself included and the constant term implied:
 
 A degree-m register emits one m-bit syndrome per cipher block: the
 syndrome is the current state, after which the register clocks m times.
+That block step is a linear map T, and runs of syndromes and jumps are
+products by the powers ``T, T**2, T**4, ...``, cached per tap set.
 """
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, mul_bits_matrix
 
 # Maximal-length tap sets by degree (feedback polynomial exponents).
 # Degrees <= 16 are verified primitive by exhaustive period check in the
@@ -68,15 +71,6 @@ def validate_taps(taps: tuple[int, ...]) -> tuple[int, ...]:
     return taps
 
 
-def _feedback_mask(taps: tuple[int, ...]) -> int:
-    degree = taps[0]
-    mask = 1  # s[0] always feeds back (constant term of the polynomial)
-    for t in taps:
-        if t < degree:
-            mask |= 1 << t
-    return mask
-
-
 class Lfsr:
     """Fibonacci LFSR over GF(2).
 
@@ -99,9 +93,8 @@ class Lfsr:
         if not state.any():
             raise ValueError("state must not be all-zero")
         self._state = state.copy()
-        self._fb_positions = np.array(
-            [0] + [t for t in self.taps if t < self.degree], dtype=np.int64
-        )
+        # s[0] always feeds back (the constant term), then every tap below the degree
+        self._fb_positions = np.array([0, *self.taps[1:]], dtype=np.int64)
 
     @property
     def state(self) -> np.ndarray:
@@ -121,39 +114,50 @@ class Lfsr:
         return self.syndromes(1)[0]
 
     def syndromes(self, count: int) -> np.ndarray:
-        """Next ``count`` syndromes as a (count, degree) array.
-
-        Uses the precomputed degree-step matrix, so cost per syndrome is
-        one vector-matrix product instead of ``degree`` single clocks.
-        """
+        """Next ``count`` syndromes as a (count, degree) array, by doubling:
+        rows ``[2**i, 2**(i+1))`` are the first rows times ``T**(2**i)``."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        skip = _block_step_matrix(self.taps)
-        out = np.empty((count, self.degree), dtype=np.uint8)
-        s = self._state
-        for i in range(count):
-            out[i] = s
-            s = skip.vecmat(s)
-        self._state = s.copy()
-        return out
+        out = np.empty((count + 1, self.degree), dtype=np.uint8)
+        out[0] = self._state
+        for done in (1 << i for i in range(operator.index(count).bit_length())):
+            out[done : 2 * done] = _advance(self.taps, out[: min(done, count + 1 - done)], done)
+        self._state = out[count].copy()
+        return out[:count]
+
+    def skip(self, count: int) -> None:
+        """Jump past the next ``count`` syndromes: one product per set bit."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        self._state = _advance(self.taps, self._state[None], operator.index(count))[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _block_step_matrix(taps: tuple[int, ...]) -> GF2Matrix:
-    """The ``degree``-clock state map for validated ``taps``: row i is
-    unit fill i clocked ``degree`` times (all fills at once, each clock as
-    in :meth:`Lfsr.clock`), so ``s @ step`` is ``s`` clocked ``degree``
-    times.  Built once per tap set and shared read-only by every register
-    with those taps."""
-    m = taps[0]
-    fills = np.eye(m, dtype=np.uint8)
-    feedback = [0, *taps[1:]]
-    for _ in range(m):
-        fb = np.bitwise_xor.reduce(fills[:, feedback], axis=1)
-        fills = np.concatenate([fills[:, 1:], fb[:, None]], axis=1)
-    step = GF2Matrix.from_dense(fills)
-    step.words.flags.writeable = False
-    return step
+@functools.lru_cache(maxsize=1024)
+def _step_power(taps: tuple[int, ...], i: int) -> GF2Matrix:
+    """``T**(2**i)`` for validated ``taps``, squared from ``T**(2**(i-1))``
+    and shared read-only by every register with those taps.  T is the
+    block step: row j is unit fill j clocked ``degree`` times (all fills
+    at once, as in :meth:`Lfsr.clock`)."""
+    if i:
+        half = _step_power(taps, i - 1)
+        power = GF2Matrix.from_dense(mul_bits_matrix(half.to_dense(), half))
+    else:
+        fills = np.eye(taps[0], dtype=np.uint8)
+        for _ in range(taps[0]):
+            fb = np.bitwise_xor.reduce(fills[:, [0, *taps[1:]]], axis=1)
+            fills = np.concatenate([fills[:, 1:], fb[:, None]], axis=1)
+        power = GF2Matrix.from_dense(fills)
+    power.words.flags.writeable = False
+    return power
+
+
+def _advance(taps: tuple[int, ...], fills: np.ndarray, blocks: int) -> np.ndarray:
+    """The (batch, degree) ``fills`` advanced by ``blocks`` block steps:
+    one product by ``T**(2**i)`` per set bit ``i`` of ``blocks``."""
+    for i in range(blocks.bit_length()):
+        if blocks >> i & 1:
+            fills = mul_bits_matrix(fills, _step_power(taps, i))
+    return fills
 
 
 def lfsr_period(taps: tuple[int, ...], seed: np.ndarray | None = None) -> int:
@@ -165,7 +169,7 @@ def lfsr_period(taps: tuple[int, ...], seed: np.ndarray | None = None) -> int:
     m = taps[0]
     if m > _PRIMITIVITY_CHECK_LIMIT:
         raise ValueError(f"period brute force is limited to degree <= {_PRIMITIVITY_CHECK_LIMIT}")
-    fb_mask = _feedback_mask(taps)
+    fb_mask = sum(1 << t for t in (0, *taps[1:]))
     if seed is None:
         start = 1 << (m - 1)  # state (0, ..., 0, 1)
     else:

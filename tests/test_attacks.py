@@ -144,15 +144,16 @@ def test_attack_decrypt_matches_enumerating_the_span():
     result = rn_attack(TOY.oracle(mode="lfsr"), rng=derive_rng(3, "verify"))
     matrix, basis = result.recovered_gprime, result.candidate_error_space
     pivots = matrix.pivots()
-    a_inv = GF2Matrix.from_dense(matrix.to_dense()[:, pivots]).inverse()
+    dense = matrix.to_dense().astype(np.int64)
+    a_inv = GF2Matrix.from_dense(dense[:, pivots]).inverse().to_dense()
     decrypted = 0
     for word in range(256):
         ct = unpack_word(word, 8)
         want = set()
         for err in span_members(basis)[1:]:
             target = ct ^ unpack_word(int(err), 8)
-            msg = a_inv.vecmat(target[pivots])
-            if np.array_equal(matrix.vecmat(msg), target):
+            msg = (target[pivots] @ a_inv) % 2
+            if np.array_equal((msg @ dense) % 2, target):
                 want.add(pack_word(msg))
         got = [pack_word(m) for m in attack_decrypt(matrix, basis, ct)]
         assert got == sorted(want)
@@ -214,6 +215,24 @@ def test_refuses_gap_beyond_toy_limit():
     assert excinfo.value.log2_work_factor == 39.0
     assert "2^39" in str(excinfo.value)
     assert oracle.queries == 0
+
+
+def test_refuses_block_length_beyond_word_before_querying():
+    # a ciphertext word is one uint64, so N = 128 is refused up front
+    toy = build_toy_instance(7, 124, seed=0)
+    oracle = toy.oracle(mode="lfsr")
+    with pytest.raises(ValueError, match="64-bit"):
+        collect_error_space(oracle, np.zeros(124, dtype=np.uint8), budget=100)
+    assert oracle.queries == 0
+
+
+def test_recovers_more_rows_than_array_dimensions():
+    # K = 60 rows of candidates assemble into survivors without one array
+    # axis per row (numpy caps arrays at 32 or 64 dimensions)
+    toy = build_toy_instance(6, 60, seed=0)
+    result = rn_attack(toy.oracle(mode="lfsr"), rng=derive_rng(0, "verify"))
+    assert result.verified
+    assert result.recovered_gprime == toy.true_matrix
 
 
 def test_cost_curve_grows_with_gap():

@@ -71,7 +71,7 @@ def test_encryption_is_affine_in_message_and_syndrome(key):
     # matrix form on random inputs
     rng = derive_rng(3, "affine")
     ctx = CipherContext(key)
-    gprime = ctx.encryption_matrix()
+    gprime = ctx.encryption_matrix().to_dense().astype(np.int64)
     for _ in range(20):
         msg = rng.integers(0, 2, size=SMALL.num_info, dtype=np.uint8)
         syn = rng.integers(0, 2, size=SMALL.num_frozen, dtype=np.uint8)
@@ -79,7 +79,7 @@ def test_encryption_is_affine_in_message_and_syndrome(key):
         pert = ctx.perturbation(syn)
         permuted_pert = np.empty_like(pert)
         permuted_pert[ctx.perm_dst] = pert
-        assert np.array_equal(got, gprime.vecmat(msg) ^ permuted_pert)
+        assert np.array_equal(got, (msg @ gprime) % 2 ^ permuted_pert)
 
 
 def test_encryption_matrix_matches_dense_reference(key, reference_key):
@@ -158,6 +158,21 @@ def test_start_block_offsets_stay_in_sync(key):
     out, amb = dec.decrypt_blocks(full[6:])
     assert not amb.any()
     assert np.array_equal(out, msgs[6:])
+
+
+def test_start_block_is_a_jump_not_a_burn(key, monkeypatch):
+    # a session at block 2^63 makes no syndrome for the blocks before it
+    start = 2**63
+    rng = derive_rng(5, "far-offset")
+    msgs = rng.integers(0, 2, size=(3, SMALL.num_info), dtype=np.uint8)
+    with monkeypatch.context() as m:
+        m.setattr(cipher.Lfsr, "syndromes", None)
+        sender = CipherContext(key, start_block=start)
+        receiver = CipherContext(key, start_block=start)
+    out, amb = receiver.decrypt_blocks(sender.encrypt_blocks(msgs))
+    assert not amb.any()
+    assert np.array_equal(out, msgs)
+    assert sender.blocks_processed == receiver.blocks_processed == start + 3
 
 
 def test_syndrome_stream_differs_per_block(key):

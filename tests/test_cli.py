@@ -169,6 +169,14 @@ def test_attack_rn_toy_end_to_end(capsys):
     assert fields["intercepted_decrypted"] == "true"
 
 
+def test_attack_rn_rejects_blocks_wider_than_a_word(capsys):
+    code, out, err = run(capsys, "attack", "rn", "--n", "7", "--k", "124")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "64-bit" in err
+    assert "Traceback" not in err
+
+
 def test_attack_rn_refuses_real_parameters(capsys):
     code, out, err = run(capsys, "attack", "rn")
     assert code == EXIT_REFUSAL

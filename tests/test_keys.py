@@ -1,6 +1,8 @@
 """Key material: structured generation, compression codecs, file format."""
 import hashlib
 import itertools
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from polarsec import gf2
 from polarsec.gf2 import GF2Matrix, SingularMatrixError
 from polarsec.keys import (
+    MAGIC,
     KeyFormatError,
     KeyGenerationError,
     KeyParams,
@@ -194,7 +197,7 @@ def test_perm_offsets_to_dst_matches_matrix_action():
         v = rng.integers(0, 2, size=p.block_length, dtype=np.uint8)
         out = np.empty_like(v)
         out[dst] = v
-        assert np.array_equal(perm.vecmat(v), out)
+        assert np.array_equal((v.astype(np.int64) @ perm.to_dense()) % 2, out)
 
 
 def test_golden_key_files():
@@ -270,6 +273,23 @@ def test_deserialize_rejects_corruption():
         deserialize_key(bytes(wrong_magic))
     with pytest.raises(KeyFormatError):
         deserialize_key(bytes(data) + b"\x00")  # trailing garbage
+
+
+def test_deserialize_rejects_taps_out_of_order():
+    # one key, one encoding: stored taps must be strictly descending, so
+    # a reordered or repeated tap list with a valid CRC does not load
+    data = serialize_key(generate_key(small_params(), derive_rng(5, "keygen")))
+    at = len(MAGIC) + struct.calcsize("<BHHHBBBd")
+    assert struct.unpack_from("<B4H", data, at) == (4, 16, 15, 13, 4)
+    head, tail = data[:at], data[at + 9 : -4]
+    for taps in ((16, 15, 13, 4), (4, 13, 15, 16), (16, 16, 15, 13, 4)):
+        body = head + struct.pack(f"<B{len(taps)}H", len(taps), *taps) + tail
+        stored = body + struct.pack("<I", zlib.crc32(body))
+        if taps == (16, 15, 13, 4):
+            assert serialize_key(deserialize_key(stored)) == data
+        else:
+            with pytest.raises(KeyFormatError, match="strictly descending"):
+                deserialize_key(stored)
 
 
 def test_validate_key_catches_tampering():

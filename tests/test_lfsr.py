@@ -41,27 +41,83 @@ def test_next_syndrome_is_state_then_degree_clocks():
                 b.clock()
 
 
-def test_block_step_matrix_built_once_per_tap_set():
-    lfsr._block_step_matrix.cache_clear()
+def test_step_powers_built_once_per_tap_set():
+    lfsr._step_power.cache_clear()
     taps = taps_for_degree(12)
-    first = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
-    second = Lfsr(taps, np.eye(12, dtype=np.uint8)[0]).syndromes(3)
-    info = lfsr._block_step_matrix.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert np.array_equal(first, second)
+    first = Lfsr(taps, np.eye(12, dtype=np.uint8)[0])
+    first.skip(5 << 20)
+    # T, T^2, ..., T^(2^22): only as far as the jump needs
+    assert lfsr._step_power.cache_info().misses == 23
+    second = Lfsr(taps, np.eye(12, dtype=np.uint8)[0])
+    second.skip(5 << 20)
+    assert lfsr._step_power.cache_info().misses == 23
+    assert not any(lfsr._step_power(taps, i).words.flags.writeable for i in range(23))
+    assert np.array_equal(first.state, second.state)
+
+
+def draw_fill(data, degree: int) -> np.ndarray:
+    word = data.draw(st.integers(1, (1 << degree) - 1))
+    return np.array([word >> i & 1 for i in range(degree)], dtype=np.uint8)
 
 
 @settings(max_examples=25)
 @given(st.data())
-def test_block_step_matrix_is_degree_single_clocks(data):
+def test_step_powers_are_repeated_block_steps(data):
     for taps in DEFAULT_TAPS.values():
         degree = taps[0]
-        word = data.draw(st.integers(1, (1 << degree) - 1))
-        fill = ((word >> np.arange(degree)) & 1).astype(np.uint8)
+        fill = draw_fill(data, degree)
         reg = Lfsr(taps, fill)
         for _ in range(degree):
             reg.clock()
-        assert np.array_equal(lfsr._block_step_matrix(taps).vecmat(fill), reg.state)
+        t, t2, t4 = (lfsr._step_power(taps, i).to_dense().astype(np.int64) for i in range(3))
+        assert np.array_equal((fill @ t) % 2, reg.state)
+        assert np.array_equal(t2, (t @ t) % 2)
+        assert np.array_equal(t4, (t2 @ t2) % 2)
+
+
+def clocked_syndromes(reg: Lfsr, count: int) -> np.ndarray:
+    """Reference stream: each syndrome is the state, then ``degree`` clocks."""
+    out = []
+    for _ in range(count):
+        out.append(reg.state)
+        for _ in range(reg.degree):
+            reg.clock()
+    return np.array(out, dtype=np.uint8).reshape(count, reg.degree)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_syndromes_and_skip_match_single_clocks(data):
+    for taps in DEFAULT_TAPS.values():
+        degree = taps[0]
+        fill = draw_fill(data, degree)
+        count = data.draw(st.integers(0, 40))
+        jump = data.draw(st.integers(0, 40))
+        reg, ref = Lfsr(taps, fill), Lfsr(taps, fill)
+        assert np.array_equal(reg.syndromes(count), clocked_syndromes(ref, count))
+        reg.skip(jump)
+        clocked_syndromes(ref, jump)
+        assert np.array_equal(reg.state, ref.state)
+        assert np.array_equal(reg.syndromes(2), clocked_syndromes(ref, 2))
+
+
+@settings(max_examples=30)
+@given(a=st.integers(0, 2**64), b=st.integers(0, 2**64))
+def test_skips_add(a, b):
+    for degree in (5, 16, 256):
+        taps = taps_for_degree(degree)
+        fill = np.zeros(degree, dtype=np.uint8)
+        fill[[0, degree // 3]] = 1
+        split, whole = Lfsr(taps, fill), Lfsr(taps, fill)
+        split.skip(a)
+        split.skip(b)
+        whole.skip(a + b)
+        assert np.array_equal(split.state, whole.state)
+        if degree < 256:
+            # a primitive register's block steps cycle with its period
+            reduced = Lfsr(taps, fill)
+            reduced.skip((a + b) % lfsr_period(taps))
+            assert np.array_equal(reduced.state, whole.state)
 
 
 def test_syndromes_batch_equals_stepping():
