@@ -14,15 +14,14 @@ The block map is one fixed N x N matrix, C = [M, s] E with
 E = [S G_A; G_Ac] P, so encryption is one table product
 (:func:`.gf2.mul_bits_matrix`).
 
-Decryption works on batches only.  It reverses P and unscrambles with
-S^-1 by the same product.  A block with no erasure is a codeword, so the
-transform (its own inverse) gives u and u_A is read off; only blocks with
+Decryption works on batches only.  A block with no erasure is C itself,
+and C E^-1 = [M, s]: one product by the same routine.  Only blocks with
 an erasure run the bitsliced successive-cancellation decoder of
-:mod:`.polar`, with the frozen positions pinned to the session syndrome.
-A session builds what each direction needs on first use: E on first
-encrypt, S^-1 on first decrypt (for a key, inverted over the circulant
-ring, see :mod:`.keys`).  Encryption also has a one-block call, which the
-attack oracles use.
+:mod:`.polar` on C P^-1, with the frozen positions pinned to the session
+syndrome, and then the product by S^-1.  A session builds what each
+direction needs on first use: E on first encrypt, S^-1 (for a key,
+inverted over the circulant ring, see :mod:`.keys`) and E^-1 on first
+decrypt.  Encryption also has a one-block call, which the attack oracles use.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import numpy as np
 from .gf2 import GF2Matrix, mul_bits_matrix, pack_rows
 from .keys import SecretKey, perm_offsets_to_dst
 from .lfsr import Lfsr
-from .polar import FrozenPlan, polar_transform, sc_decode_batch
+from .polar import FrozenPlan, sc_decode_batch
 
 FRAME_COUNT_BITS = 16
 
@@ -141,15 +140,29 @@ class CipherContext:
         src[c] of F, and F[i, j] = 1 exactly when j's bits lie within i's;
         row i of S G_A P is the XOR of G_A P's rows over S's row i."""
         size, index = self.block_length, np.min_scalar_type(self.block_length - 1)
-        src = np.empty(size, dtype=index)
-        src[self.perm_dst] = np.arange(size)
+        src = np.argsort(self.perm_dst).astype(index)
         info, frozen = (pack_rows((src & ~at.astype(index)[:, None]) == 0)
                         for at in (self.plan.info0, self.plan.frozen0))
         words = np.vstack([np.zeros_like(info), frozen])
-        rows, cols = np.nonzero(self.scrambler.to_dense())
+        rows, cols = np.divmod(np.flatnonzero(self.scrambler.to_dense()), self.num_info)
         supported = np.unique(rows)  # reduceat gives an empty row a row, not zero
         words[supported] = np.bitwise_xor.reduceat(
             info[cols], np.searchsorted(rows, supported), axis=0)
+        words.setflags(write=False)
+        return GF2Matrix(size, size, words)
+
+    @cached_property
+    def _decryption_map(self) -> GF2Matrix:
+        """E^-1, read-only, built on the first clean decrypt: F is its own
+        inverse, so E^-1[perm_dst] = F D, where D maps u to [M, s]."""
+        size, k, inv = self.block_length, self.num_info, self.scrambler_inv.words
+        d = np.zeros((size, -(-size // 64)), dtype=np.uint64)
+        d[self.plan.info0, : inv.shape[1]] = inv  # u_A S^-1 = M
+        d[self.plan.frozen0] = pack_rows(np.eye(size - k, size, k, dtype=np.uint8))  # u_Ac = s
+        for b in range(self.n):  # row i of F D is the XOR of D's rows within i's bits
+            pairs = d.reshape(-1, 2, 1 << b, d.shape[1])
+            pairs[:, 1] ^= pairs[:, 0]
+        words = d[np.argsort(self.perm_dst)]
         words.setflags(write=False)
         return GF2Matrix(size, size, words)
 
@@ -192,18 +205,20 @@ class CipherContext:
         if received.ndim != 2 or received.shape[1] != self.block_length:
             raise ValueError(f"received must be (batch, {self.block_length})")
         syndromes = np.asarray(syndromes, dtype=np.int8)
-        depermuted = received[:, self.perm_dst]
-        erased = (depermuted < 0).any(axis=1)
-        clean = ~erased
-        scrambled = np.empty((received.shape[0], self.num_info), dtype=np.uint8)
-        ambiguous = np.zeros(received.shape[0], dtype=bool)
-        # an unerased block is the codeword u F: the transform is its own inverse
-        scrambled[clean] = polar_transform(depermuted[clean])[:, self.plan.info0]
-        if erased.any():
-            scrambled[erased], ambiguous[erased] = sc_decode_batch(
-                depermuted[erased], self.plan, syndromes[erased]
-            )
-        messages = mul_bits_matrix(scrambled, self.scrambler_inv)
+        if syndromes.shape != (len(received), self.block_length - self.num_info):
+            raise ValueError("syndromes must be (batch, N - K)")
+        erased = (received < 0).any(axis=1)
+        ambiguous = np.zeros(len(received), dtype=bool)
+        if not erased.any():  # [M, s] = C E^-1, on the batch as it is
+            m_s = mul_bits_matrix(received.view(np.uint8), self._decryption_map)
+            return np.ascontiguousarray(m_s[:, : self.num_info]), ambiguous  # frees the s half
+        messages = np.empty((len(received), self.num_info), dtype=np.uint8)
+        if not erased.all():
+            messages[~erased] = self.decrypt_blocks_with_syndromes(
+                received[~erased], syndromes[~erased])[0]
+        scrambled, ambiguous[erased] = sc_decode_batch(
+            received[erased][:, self.perm_dst], self.plan, syndromes[erased])
+        messages[erased] = mul_bits_matrix(scrambled, self.scrambler_inv)
         return messages, ambiguous
 
     # ---- stateful session API ----------------------------------------

@@ -95,6 +95,16 @@ def test_encryption_matrix_matches_dense_reference(key, reference_key):
         assert not ctx.encryption_matrix().words.flags.writeable
 
 
+def test_decryption_map_inverts_encryption_map(key, reference_key):
+    # E E^-1 = I on block-circulant keys and on a dense toy scrambler with
+    # N < 64 (one word per row)
+    for ctx in (CipherContext(key), TOY.context(), CipherContext(reference_key)):
+        e = ctx._encryption_map.to_dense().astype(np.float32)
+        e_inv = ctx._decryption_map.to_dense().astype(np.float32)
+        assert np.array_equal((e @ e_inv) % 2, np.eye(ctx.block_length))
+        assert not ctx._decryption_map.words.flags.writeable
+
+
 def layered_encrypt(ctx, messages, syndromes):
     """C = (M S G_A + s G_Ac) P one layer at a time: dense M S, placement
     on the information and frozen positions, the butterfly, then the
@@ -216,31 +226,77 @@ def reference_decrypt(ctx, received, syndromes):
     return mul_bits_matrix(scrambled, ctx.scrambler.inverse()), ambiguous
 
 
+def layered_decrypt(ctx, received, syndromes):
+    """Decryption one layer at a time: undo P, then u = x F for a clean
+    block (the transform is its own inverse) or SC for an erased one, read
+    u_A and multiply by the dense Gauss-Jordan S^-1."""
+    y = np.asarray(received, dtype=np.int8)[:, ctx.perm_dst]
+    erased = (y < 0).any(axis=1)
+    scrambled = np.zeros((len(y), ctx.num_info), dtype=np.uint8)
+    ambiguous = np.zeros(len(y), dtype=bool)
+    scrambled[~erased] = polar_transform(y[~erased])[:, ctx.plan.info0]
+    if erased.any():
+        scrambled[erased], ambiguous[erased] = sc_decode_batch(
+            y[erased], ctx.plan, syndromes[erased].astype(np.int8))
+    s_inv = ctx.scrambler.inverse().to_dense().astype(np.int64)
+    return ((scrambled.astype(np.int64) @ s_inv) % 2).astype(np.uint8), ambiguous
+
+
 @settings(max_examples=60)
-@given(toy=st.booleans(), batch=st.integers(1, 40),
+@given(which=st.sampled_from(["small", "toy", "reference"]), batch=st.integers(1, 40),
        rate=st.sampled_from([0.0, 1.0]) | st.floats(0.002, 0.2),
        seed=st.integers(0, 2**32 - 1))
-def test_decrypt_split_matches_sc_on_every_block(key, other_key, toy, batch, rate, seed):
-    # clean blocks skip SC; all-clean, all-erased and mixed batches must
-    # decode exactly as SC over every block does
-    ctx = TOY.context() if toy else CipherContext(key)
+def test_decrypt_split_matches_sc_on_every_block(key, other_key, reference_key, which, batch,
+                                                 rate, seed):
+    # clean blocks take one product by E^-1 and skip SC; all-clean, all-erased
+    # and mixed batches must decode exactly as the layered reference and as
+    # SC over every block do
+    ctx = {"small": lambda: CipherContext(key), "toy": TOY.context,
+           "reference": lambda: CipherContext(reference_key)}[which]()
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, 2, size=(batch, ctx.num_info), dtype=np.uint8)
     syn = rng.integers(0, 2, size=(batch, ctx.block_length - ctx.num_info), dtype=np.uint8)
     received = bec_transmit(ctx.encrypt_blocks_with_syndromes(msgs, syn), rate, rng)
     got, amb = ctx.decrypt_blocks_with_syndromes(received, syn)
-    want, want_amb = reference_decrypt(ctx, received, syn)
-    assert np.array_equal(got, want)
-    assert np.array_equal(amb, want_amb)
+    for want, want_amb in (layered_decrypt(ctx, received, syn),
+                           reference_decrypt(ctx, received, syn)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(amb, want_amb)
     assert np.array_equal(got[~amb], msgs[~amb])
-    if not toy:
+    if which == "small":
         # a wrong key sees noiseless blocks that are no codeword under its
-        # syndrome: deterministic garbage, never flagged
+        # syndrome: the transform read-off's garbage, never flagged
+        wrong = CipherContext(other_key)
         ct = CipherContext(key).encrypt_blocks_with_syndromes(msgs, syn)
-        wrong = [CipherContext(other_key).decrypt_blocks_with_syndromes(ct, syn)
-                 for _ in range(2)]
-        assert np.array_equal(wrong[0][0], wrong[1][0])
-        assert not wrong[0][1].any()
+        garbage, garbage_amb = wrong.decrypt_blocks_with_syndromes(ct, syn)
+        assert np.array_equal(garbage, layered_decrypt(wrong, ct, syn)[0])
+        assert not garbage_amb.any()
+
+
+def test_syndrome_half_of_the_inverse_checks_the_stream(key, reference_key):
+    # C E^-1 = [M, s]: on valid blocks its last N - K bits are the session's
+    # syndromes, and none of a wrong key's blocks gives them
+    wrong_key = generate_key(reference_params(), derive_rng(21, "keygen"))
+    for k in (key, reference_key):
+        e_inv, num_info = CipherContext(k)._decryption_map, k.params.num_info
+        msgs = derive_rng(14, "syndrome-half").integers(0, 2, size=(256, num_info),
+                                                        dtype=np.uint8)
+        syn = CipherContext(k, start_block=77).lfsr.syndromes(256)
+        m_s = mul_bits_matrix(CipherContext(k, start_block=77).encrypt_blocks(msgs), e_inv)
+        assert np.array_equal(m_s[:, :num_info], msgs)
+        assert np.array_equal(m_s[:, num_info:], syn)
+    wrong = mul_bits_matrix(CipherContext(wrong_key, start_block=77).encrypt_blocks(msgs), e_inv)
+    assert not (wrong[:, num_info:] == syn).all(axis=1).any()
+
+
+def test_decrypt_rejects_syndromes_of_the_wrong_shape(key):
+    ctx = CipherContext(key)
+    clean = ctx.encrypt_blocks(np.zeros((3, SMALL.num_info), dtype=np.uint8)).astype(np.int8)
+    erased = clean.copy()
+    erased[1, 0] = ERASED
+    for received in (clean, erased):
+        with pytest.raises(ValueError, match="syndromes"):
+            ctx.decrypt_blocks_with_syndromes(received, np.zeros((1, 5), dtype=np.uint8))
 
 
 def test_empty_batches(key):
@@ -254,24 +310,33 @@ def test_empty_batches(key):
 
 def test_sessions_build_only_what_they_use(monkeypatch):
     # a clean seal and open at the reference parameters run neither the
-    # dense inverse nor SC; each direction builds only its own table
+    # dense inverse nor SC; each direction builds only its own map, the
+    # clean open no S^-1 tables, and an all-erased open no E^-1
     key = generate_key(reference_params(), derive_rng(21, "keygen"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense inverse or SC decode in a noiseless session")
 
     monkeypatch.setattr(GF2Matrix, "inverse", refuse)
-    monkeypatch.setattr(cipher, "sc_decode_batch", refuse)
     data = derive_rng(22, "cost").bytes(2048)
     k, size = key.params.num_info, key.params.block_length
     sender = CipherContext(key, start_block=300)
     payload = pack_ciphertext(sender.encrypt_blocks(frame_plaintext(data, k)))
     receiver = CipherContext(key, start_block=300)
-    blocks, amb = receiver.decrypt_blocks(unpack_ciphertext(payload, size))
+    with monkeypatch.context() as m:
+        m.setattr(cipher, "sc_decode_batch", refuse)
+        blocks, amb = receiver.decrypt_blocks(unpack_ciphertext(payload, size))
     assert not amb.any()
     assert unframe_plaintext(blocks) == data
     assert "scrambler_inv" not in sender.__dict__
+    assert "_decryption_map" not in sender.__dict__
     assert "_encryption_map" not in receiver.__dict__
+    assert "tables" not in receiver.scrambler_inv.__dict__
+    received = unpack_ciphertext(payload, size).astype(np.int8)
+    received[:, 0] = ERASED
+    noisy = CipherContext(key, start_block=300)
+    noisy.decrypt_blocks(received)
+    assert "_decryption_map" not in noisy.__dict__
 
 
 def test_from_components_matches_key_construction(key):
