@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cipher import CipherContext
 from .gf2 import GF2Matrix, pack_rows, rref, unpack_rows
-from .lfsr import taps_for_degree
+from .lfsr import Lfsr, taps_for_degree
 from .rng import derive_rng
 
 DEFAULT_MAX_GAP = 12
@@ -50,24 +51,15 @@ class PartialErrorSpaceWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# bit/word helpers
-# ---------------------------------------------------------------------------
-
-def pack_word(bits: np.ndarray) -> int:
-    """Bit vector -> integer (bit i of the word is position i)."""
-    return int.from_bytes(
-        np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes(), "little"
-    )
-
-
-def unpack_word(value: int, length: int) -> np.ndarray:
-    """Integer -> bit vector of the given length."""
-    return ((value >> np.arange(length, dtype=np.uint64)) & 1).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
+
+# Most answers one batch computes, whatever the attacker asks for: bounds
+# the memory of a call, and the answers computed and then not read.
+_QUERY_CHUNK = 4096
+# Most (query, candidate) cells one pruning step tests at once.
+_PRUNE_CELLS = 1 << 14
+
 
 class EncryptionOracle:
     """Chosen-plaintext oracle hiding a cipher session.
@@ -83,8 +75,9 @@ class EncryptionOracle:
     ``"pinned"``
         One fixed syndrome for every query.
 
-    The attacker side sees only ``encrypt`` plus the public dimensions;
-    the query counter is monotone.
+    The attacker side sees only :meth:`query` (and its one-block form
+    :meth:`encrypt`) plus the public dimensions; the query counter is
+    monotone and counts exactly the answers read.
     """
 
     def __init__(
@@ -111,14 +104,50 @@ class EncryptionOracle:
                 pinned_syndrome[0] = 1
             self._pinned = np.asarray(pinned_syndrome, dtype=np.uint8)
 
-    def encrypt(self, message: np.ndarray) -> np.ndarray:
-        self.queries += 1
+    def query(
+        self, messages: np.ndarray, take: Callable[[np.ndarray], int] | None = None
+    ) -> np.ndarray:
+        """Ciphertexts of a (b, K) batch as packed words (bit i is position
+        i), from one syndrome draw and one product.
+
+        ``take(words)`` says how many leading answers the attacker reads
+        (all b by default).  Only those count as queries, and the syndrome
+        stream ends where that many one-block queries would leave it.
+        """
+        if self.block_length > 64:
+            raise ValueError(f"N = {self.block_length} does not fit a 64-bit ciphertext word")
+        messages = np.asarray(messages, dtype=np.uint8)
+        b = len(messages)
+        if self.mode == "lfsr":  # answered from a copy, then the session skips what was read
+            syndromes = Lfsr(self._ctx.lfsr.taps, self._ctx.lfsr.state).syndromes(b)
+        elif self.mode == "uniform":
+            drawn_from = self._rng.bit_generator.state
+            syndromes = self._draw(b)
+        else:
+            syndromes = np.broadcast_to(self._pinned, (b, self.gap))
+        words = pack_rows(self._ctx.encrypt_blocks_with_syndromes(messages, syndromes))[:, 0]
+        used = b if take is None else take(words)
+        self.queries += used
         if self.mode == "lfsr":
-            return self._ctx.encrypt(message).bits
-        if self.mode == "uniform":
-            s = self._rng.integers(0, 2, size=self.gap, dtype=np.uint8)
-            return self._ctx.encrypt_with_syndrome(message, s)
-        return self._ctx.encrypt_with_syndrome(message, self._pinned)
+            self._ctx.lfsr.skip(used)
+            self._ctx.blocks_processed += used
+        elif self.mode == "uniform" and used < b:
+            self._rng.bit_generator.state = drawn_from
+            self._draw(used)
+        return words[:used]
+
+    def _draw(self, count: int) -> np.ndarray:
+        """``count`` uniform syndromes, one rng call each, as one-block
+        queries draw them."""
+        out = np.empty((count, self.gap), dtype=np.uint8)
+        for row in out:
+            row[:] = self._rng.integers(0, 2, size=self.gap, dtype=np.uint8)
+        return out
+
+    def encrypt(self, message: np.ndarray) -> np.ndarray:
+        """One query, as ciphertext bits: a one-row :meth:`query`."""
+        word = self.query(np.asarray(message, dtype=np.uint8)[None])
+        return unpack_rows(word[:, None], self.block_length)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +161,12 @@ class ErrorSpace:
 
     ``ciphertexts`` holds the observed ciphertext words, sorted; when the
     probe message is zero these are exactly the permuted perturbations
-    ``e P``.  ``differences`` is the reduced echelon basis of the span of
-    ``ciphertexts ^ ciphertexts[0]`` (which the pairwise differences also
-    span): at most N - K packed words, leading bits descending, and empty
-    for a pinned oracle.  :func:`span_members` enumerates the span.
+    ``e P``.  ``differences`` is the basis of the span of ``ciphertexts ^
+    ciphertexts[0]`` (which the pairwise differences also span) in the
+    reduced echelon form of :func:`~polarsec.gf2.rref`: at most N - K
+    packed words, pivot bits ascending, each pivot bit set in its own
+    word only; empty for a pinned oracle.  :func:`span_members`
+    enumerates the span.
     """
 
     differences: np.ndarray = field(repr=False)
@@ -144,32 +175,19 @@ class ErrorSpace:
     saturated: bool = False
 
 
-def _reduced_basis(words) -> np.ndarray:
-    """Reduced echelon basis of the span of ``words`` (Python ints): no
-    leading bit of one basis word is set in another, so the basis of a
-    span is unique."""
-    basis: list[int] = []
-    for w in words:
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis = [min(b, b ^ w) for b in basis] + [w]
-    return np.array(sorted(basis, reverse=True), dtype=np.uint64)
-
-
 def span_members(basis: np.ndarray) -> np.ndarray:
     """All 2^r members of the span of ``r`` independent words, by
-    doubling over the basis; zero comes first and only there."""
+    doubling over the basis; zero comes first and only there.
+
+    Member ``c`` is the XOR of ``basis[i]`` over the set bits ``i`` of
+    ``c``, so members add as their indices do: ``m[a] ^ m[b] == m[a ^
+    b]``.  For a basis from :func:`~polarsec.gf2.rref`, bit ``i`` of a
+    member's index is the member's bit at pivot ``i``.
+    """
     span = np.zeros(1, dtype=np.uint64)
     for b in basis:
         span = np.concatenate([span, span ^ b])
     return span
-
-
-def _in_sorted(sorted_words: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership of each query word in the sorted, non-empty ``sorted_words``."""
-    at = np.searchsorted(sorted_words, queries)
-    return sorted_words[np.minimum(at, sorted_words.size - 1)] == queries
 
 
 def collect_error_space(
@@ -182,41 +200,51 @@ def collect_error_space(
     growing for a coupon-collector-scaled window (or the budget runs
     out, which raises :class:`PartialErrorSpaceWarning` and returns the
     partial space).
+
+    The queries go in batches that double with the count so far, and
+    each batch is charged up to the query at which a stop rule fires.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if oracle.block_length > 64:
-        raise ValueError(f"N = {oracle.block_length} does not fit a 64-bit ciphertext word")
     n_e = 1 << oracle.gap
     if window is None:
         # expected full-collection time for n_e coupons, with a floor
         window = max(16, math.ceil(n_e * (math.log(n_e) + 0.5772)))
-    seen: set[int] = set()
+    seen = np.zeros(0, dtype=np.uint64)  # distinct words, sorted
     queries = 0
     since_new = 0
     saturated = False
-    while queries < budget:
-        word = pack_word(oracle.encrypt(message))
-        queries += 1
-        if word in seen:
-            since_new += 1
-        else:
-            seen.add(word)
-            since_new = 0
-        if len(seen) == n_e or since_new >= window:
-            saturated = True
-            break
+
+    def take(words: np.ndarray) -> int:
+        """The queries read, through the first one at which a stop rule
+        fires, with the collection state they leave."""
+        nonlocal seen, since_new, saturated
+        _, first = np.unique(np.concatenate([seen, words]), return_index=True)
+        fresh = np.zeros(words.size, dtype=bool)
+        fresh[first[first >= seen.size] - seen.size] = True
+        at = np.arange(words.size)
+        since = at - np.maximum.accumulate(np.where(fresh, at, -1 - since_new))
+        stop = (seen.size + np.cumsum(fresh) == n_e) | (since >= window)
+        used = int(stop.argmax()) + 1 if stop.any() else words.size
+        seen = np.union1d(seen, words[:used])
+        since_new, saturated = int(since[used - 1]), bool(stop.any())
+        return used
+
+    message = np.asarray(message, dtype=np.uint8)
+    while queries < budget and not saturated:
+        chunk = min(budget - queries, window - since_new, max(n_e, queries), _QUERY_CHUNK)
+        queries += oracle.query(np.broadcast_to(message, (chunk, message.size)), take).size
     if not saturated:
         warnings.warn(
-            f"budget {budget} exhausted with {len(seen)} distinct ciphertexts "
+            f"budget {budget} exhausted with {seen.size} distinct ciphertexts "
             f"(space size up to {n_e}); error space is incomplete",
             PartialErrorSpaceWarning,
             stacklevel=2,
         )
-    words = sorted(seen)
+    reduced, pivots = rref((seen[1:] ^ seen[0])[:, None], oracle.block_length)
     return ErrorSpace(
-        differences=_reduced_basis(w ^ words[0] for w in words[1:]),
-        ciphertexts=np.array(words, dtype=np.uint64),
+        differences=reduced[: pivots.size, 0],
+        ciphertexts=seen,
         queries_used=queries,
         saturated=saturated,
     )
@@ -279,6 +307,9 @@ def rn_attack(
     merely inside its span); (4) assemble the surviving
     product and verify every assembled matrix on held-out random
     messages, growing the sample until a unique survivor remains.
+    Stages 1 to 3 each put their queries as batches to
+    :meth:`EncryptionOracle.query`, read up to the query at which the
+    one-query loop would stop, so the counts are the loop's.
 
     Raises :class:`AttackInfeasibleError` when N - K exceeds
     ``max_gap``; returns an unverified result (with a reason) when the
@@ -304,41 +335,64 @@ def rn_attack(
     examined = 0
     if not space.saturated:
         return _failure(oracle, space, examined, "error space incomplete within budget")
-    observed = space.ciphertexts  # perturbations e*P, since the probe was M = 0
+    # The observed perturbations e*P (the probe was M = 0) lie in o0 + span.
+    # A candidate row is base ^ members[d], kept as its coordinate d, and
+    # "word ^ candidate is observed" is observed[coord(word ^ base ^ o0) ^ d].
+    members = span_members(space.differences)
+    pivots = rref(space.differences[:, None], oracle.block_length)[1].astype(np.uint64)
 
-    # stage 2: candidate set per row from unit-vector differences
-    differences = span_members(space.differences)[1:]
-    candidates: list[np.ndarray] = []
-    for i in range(k):
-        unit = np.zeros(k, dtype=np.uint8)
-        unit[i] = 1
-        base = pack_word(oracle.encrypt(zero)) ^ pack_word(oracle.encrypt(unit))
-        cand = np.uint64(base) ^ differences
-        examined += cand.size
-        candidates.append(cand)
+    def coordinates(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each word's coordinates (its pivot bits), and whether it is in the span."""
+        coord = np.zeros(words.size, dtype=np.intp)
+        for i, pivot in enumerate(pivots):
+            coord |= ((words >> pivot) & np.uint64(1)).astype(np.intp) << i
+        return coord, members[coord] == words
+
+    o0 = space.ciphertexts[0]
+    observed = np.zeros(members.size, dtype=bool)
+    observed[coordinates(space.ciphertexts ^ o0)[0]] = True
+
+    # stage 2: one batch of (0, u_i) pairs; row i is base_i up to a nonzero
+    # member of the collected span
+    units = np.eye(k, dtype=np.uint8)
+    pairs = np.zeros((2 * k, k), dtype=np.uint8)
+    pairs[1::2] = units
+    words = oracle.query(pairs)
+    bases = words[0::2] ^ words[1::2]
+    examined += k * (members.size - 1)
 
     # stage 3: per-row pruning with singleton messages.  Every row gets
     # one full error-space cycle (2^gap - 1 queries): a shorter run could
     # miss prunable candidates, and a fixed schedule makes the measured
     # query count a function of the parameters rather than pruning luck.
-    schedule = n_e - 1
-    for i in range(k):
-        unit = np.zeros(k, dtype=np.uint8)
-        unit[i] = 1
-        cand = candidates[i]
-        for _ in range(schedule):
-            if cand.size == 0:
-                break
-            word = np.uint64(pack_word(oracle.encrypt(unit)))
-            keep = _in_sorted(observed, word ^ cand)
-            examined += cand.size
-            cand = cand[keep]
+    # The cycle is one batch, read up to the query that empties the set.
+    def prune(words: np.ndarray) -> int:
+        """Prune ``cand`` query by query; the queries read."""
+        nonlocal cand, examined
+        coord, inside = coordinates(words ^ base ^ o0)
+        read = 0
+        while read < words.size and cand.size:
+            rows = slice(read, read + max(1, _PRUNE_CELLS // cand.size))
+            alive = np.logical_and.accumulate(
+                inside[rows, None] & observed[coord[rows, None] ^ cand], axis=0)
+            sizes = alive.sum(axis=1)
+            steps = sizes.size if sizes[-1] else int(sizes.argmin()) + 1
+            examined += cand.size + int(sizes[: steps - 1].sum())
+            cand = cand[alive[steps - 1]]
+            read += steps
+        return read
+
+    candidates: list[np.ndarray] = []
+    for i, (base, unit) in enumerate(zip(bases, units)):
+        cand = np.arange(1, members.size)
+        if cand.size:
+            oracle.query(np.broadcast_to(unit, (n_e - 1, k)), prune)
         if cand.size == 0:
             return _failure(
                 oracle, space, examined,
                 f"candidate set for row {i} emptied out (error space inconsistent)",
             )
-        candidates[i] = cand
+        candidates.append(cand)
 
     total = math.prod(c.size for c in candidates)
     if total > enum_cap:
@@ -347,20 +401,21 @@ def rn_attack(
             f"{total} assembled candidates exceed the enumeration cap {enum_cap}",
         )
 
-    # stage 4: assemble and verify on held-out random messages
+    # stage 4: assemble and verify on held-out random messages, one at a time
     sizes = [c.size for c in candidates]  # every combination, the last row varying fastest
     survivors = np.stack([np.tile(np.repeat(c, math.prod(sizes[i + 1 :])), math.prod(sizes[:i]))
-                          for i, c in enumerate(candidates)], axis=1)  # (total, K)
+                          for i, c in enumerate(candidates)], axis=1)  # (total, K) coordinates
     checked = 0
     while checked < verify_cap and (survivors.shape[0] > 1 or checked < verify_pairs):
         msg = rng.integers(0, 2, size=k, dtype=np.uint8)
         if not msg.any():
             continue
-        word = np.uint64(pack_word(oracle.encrypt(msg)))
-        supp = np.nonzero(msg)[0]
-        vals = np.bitwise_xor.reduce(survivors[:, supp], axis=1) ^ word
+        supp = msg.astype(bool)
+        word = oracle.query(msg[None])
+        coord, inside = coordinates(word ^ np.bitwise_xor.reduce(bases[supp]) ^ o0)
         examined += survivors.shape[0]
-        survivors = survivors[_in_sorted(observed, vals)]
+        sums = np.bitwise_xor.reduce(survivors[:, supp], axis=1)
+        survivors = survivors[inside[0] & observed[coord[0] ^ sums]]
         checked += 1
         if survivors.shape[0] == 0:
             return _failure(oracle, space, examined, "no assembled candidate verifies")
@@ -369,9 +424,9 @@ def rn_attack(
             oracle, space, examined,
             f"{survivors.shape[0]} candidates still verify after {checked} held-out queries",
         )
-    dense = np.stack([unpack_word(int(w), oracle.block_length) for w in survivors[0]])
+    rows = bases ^ members[survivors[0]]
     return AttackResult(
-        recovered_gprime=GF2Matrix.from_dense(dense),
+        recovered_gprime=GF2Matrix(k, oracle.block_length, rows[:, None]),
         queries_used=oracle.queries,
         word_length=oracle.block_length,
         candidate_error_space=space.differences,
@@ -400,9 +455,8 @@ def attack_decrypt(
     saturated error space the decomposition is unique.
     """
     k, n = matrix.nrows, matrix.ncols
-    errors = (np.asarray(error_basis, dtype=np.uint64)[:, None]
-              >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    stacked = np.vstack([matrix.to_dense(), errors.astype(np.uint8)])
+    errors = unpack_rows(np.asarray(error_basis, dtype=np.uint64)[:, None], n)
+    stacked = np.vstack([matrix.to_dense(), errors])
     m = stacked.shape[0]
     reduced, pivots = rref(pack_rows(np.hstack([stacked, np.eye(m, dtype=np.uint8)])), n)
     if pivots.size != m:
@@ -487,7 +541,8 @@ def build_toy_instance(n: int, num_info: int, seed: int = 0) -> ToyInstance:
 
 @dataclass(frozen=True)
 class CostPoint:
-    """One measured point of the attack cost curve."""
+    """One measured point of the attack cost curve; ``rank`` is the
+    dimension of the collected error space."""
 
     gap: int
     n: int
@@ -496,6 +551,7 @@ class CostPoint:
     candidates_examined: int
     seconds: float
     recovered: bool
+    rank: int
 
 
 def _curve_shape(gap: int) -> int:
@@ -538,6 +594,7 @@ def attack_cost_curve(
                 seconds=elapsed,
                 recovered=result.verified
                 and result.recovered_gprime == instance.true_matrix,
+                rank=result.candidate_error_space.size,
             )
         )
     return tuple(points)

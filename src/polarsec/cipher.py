@@ -21,7 +21,7 @@ an erasure run the bitsliced successive-cancellation decoder of
 syndrome, and then the product by S^-1.  A session builds what each
 direction needs on first use: E on first encrypt, S^-1 (for a key,
 inverted over the circulant ring, see :mod:`.keys`) and E^-1 on first
-decrypt.  Encryption also has a one-block call, which the attack oracles use.
+decrypt.  Encryption also has a one-block session call.
 """
 from __future__ import annotations
 
@@ -201,13 +201,18 @@ class CipherContext:
     def decrypt_blocks_with_syndromes(
         self, received: np.ndarray, syndromes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        received = np.asarray(received, dtype=np.int8)
+        """Messages and ambiguity flags of (batch, N) received blocks: int8
+        with ``-1`` for an erasure, or uint8 bits, read as they are."""
+        received = np.asarray(received)
+        bits = received.dtype == np.uint8  # so no erasure to scan for
+        if not bits:
+            received = received.astype(np.int8, copy=False)
         if received.ndim != 2 or received.shape[1] != self.block_length:
             raise ValueError(f"received must be (batch, {self.block_length})")
         syndromes = np.asarray(syndromes, dtype=np.int8)
         if syndromes.shape != (len(received), self.block_length - self.num_info):
             raise ValueError("syndromes must be (batch, N - K)")
-        erased = (received < 0).any(axis=1)
+        erased = np.zeros(len(received), dtype=bool) if bits else (received < 0).any(axis=1)
         ambiguous = np.zeros(len(received), dtype=bool)
         if not erased.any():  # [M, s] = C E^-1, on the batch as it is
             m_s = mul_bits_matrix(received.view(np.uint8), self._decryption_map)
@@ -240,7 +245,7 @@ class CipherContext:
 
     def decrypt_blocks(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decrypt a (batch, N) run of blocks, advancing the session."""
-        received = np.asarray(received, dtype=np.int8)
+        received = np.asarray(received)
         syndromes = self.lfsr.syndromes(received.shape[0])
         self.blocks_processed += received.shape[0]
         return self.decrypt_blocks_with_syndromes(received, syndromes)

@@ -349,6 +349,7 @@ def cmd_attack_rn(args) -> int:
         "n": n, "K": k, "gap": gap,
         "queries": result.queries_used,
         "candidates_examined": result.candidates_examined,
+        "rank": len(result.candidate_error_space),
         "seconds": elapsed,
         "verified": result.verified,
         "exact_match": exact,
@@ -369,6 +370,7 @@ def cmd_attack_curve(args) -> int:
             "gap": pt.gap, "n": pt.n, "K": pt.num_info,
             "queries": pt.queries,
             "candidates_examined": pt.candidates_examined,
+            "rank": pt.rank,
             "seconds": pt.seconds, "recovered": pt.recovered,
         })
     return EXIT_OK

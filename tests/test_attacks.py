@@ -1,5 +1,8 @@
 """Chosen-plaintext attack harness: error-space collection, matrix
 recovery at toy scale, failure modes, and the measured cost curve."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +10,19 @@ from hypothesis import strategies as st
 
 from polarsec.attacks import (
     AttackInfeasibleError,
+    AttackResult,
     EncryptionOracle,
+    ErrorSpace,
     PartialErrorSpaceWarning,
     attack_cost_curve,
     attack_decrypt,
     build_toy_instance,
     collect_error_space,
-    pack_word,
     rn_attack,
     span_members,
-    unpack_word,
 )
 from polarsec.cipher import CipherContext
-from polarsec.gf2 import GF2Matrix
+from polarsec.gf2 import GF2Matrix, pack_rows, rref, unpack_rows
 from polarsec.keys import KeyParams, generate_key
 from polarsec.rng import derive_rng
 
@@ -28,11 +31,17 @@ ZERO4 = np.zeros(4, dtype=np.uint8)
 
 
 def test_word_packing_round_trip():
+    # an oracle word is one packed row: bit i is ciphertext position i
     rng = derive_rng(0, "pack")
-    for length in (1, 7, 8, 16, 32, 63):
-        bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-        assert np.array_equal(unpack_word(pack_word(bits), length), bits)
-    assert pack_word(np.array([1, 0, 1])) == 0b101
+    for length in (1, 7, 8, 16, 32, 63, 64):
+        bits = rng.integers(0, 2, size=(3, length), dtype=np.uint8)
+        assert np.array_equal(unpack_rows(pack_rows(bits)[:, :1], length), bits)
+    assert pack_rows(np.array([[1, 0, 1]]))[0, 0] == 0b101
+    oracle, loop = TOY.oracle(mode="lfsr"), TOY.oracle(mode="lfsr")
+    msgs = rng.integers(0, 2, size=(5, 4), dtype=np.uint8)
+    words = oracle.query(msgs)
+    assert np.array_equal(unpack_rows(words[:, None], 8), [loop.encrypt(m) for m in msgs])
+    assert oracle.queries == loop.queries == 5
 
 
 def test_error_space_free_running_oracle():
@@ -81,11 +90,31 @@ def test_saturated_span_equals_pairwise_differences(shape, mode, seed):
     members = span_members(space.differences)
     assert members.size == 1 << space.differences.size == len(pairwise) + 1
     assert members[0] == 0 and set(members[1:].tolist()) == pairwise
-    # reduced echelon: leading bits descending, each set in its own word only
-    leads = [int(b).bit_length() - 1 for b in space.differences]
-    assert leads == sorted(set(leads), reverse=True)
-    assert all((int(b) >> lead) & 1 == (i == j)
-               for i, b in enumerate(space.differences) for j, lead in enumerate(leads))
+    # gf2.rref's form: pivots (each word's lowest set bit) ascending, each
+    # pivot bit set in its own word only
+    pivots = [(int(b) & -int(b)).bit_length() - 1 for b in space.differences]
+    assert pivots == sorted(set(pivots))
+    assert all((int(b) >> pivot) & 1 == (i == j)
+               for i, b in enumerate(space.differences) for j, pivot in enumerate(pivots))
+
+
+@settings(max_examples=30)
+@given(dense=st.integers(1, 8).flatmap(lambda rows: st.lists(
+           st.lists(st.integers(0, 1), min_size=20, max_size=20), min_size=rows, max_size=rows)))
+def test_span_members_are_indexed_by_coordinates(dense):
+    # member c is the XOR of basis[i] over the set bits i of c, and for an
+    # rref basis bit i of c is the member's bit at pivot i: the coordinate
+    # table of rn_attack rests on both
+    reduced, pivots = rref(pack_rows(np.array(dense)), 20)
+    basis = [int(w) for w in reduced[: pivots.size, 0]]
+    members = span_members(reduced[: pivots.size, 0])
+    assert members.size == 1 << len(basis)
+    for c, member in enumerate(members.tolist()):
+        picked = 0
+        for i, b in enumerate(basis):
+            picked ^= b if c >> i & 1 else 0
+        assert member == picked
+        assert sum(((member >> int(p)) & 1) << i for i, p in enumerate(pivots)) == c
 
 
 def test_collection_matches_coupon_collector_mean():
@@ -110,8 +139,8 @@ def test_same_message_differences_stay_in_collected_space():
     rng = derive_rng(21, "pairs")
     for _ in range(100):
         msg = rng.integers(0, 2, size=4, dtype=np.uint8)
-        diff = pack_word(oracle.encrypt(msg)) ^ pack_word(oracle.encrypt(msg))
-        assert diff in collected
+        first, second = oracle.query(np.stack([msg, msg]))
+        assert int(first ^ second) in collected
 
 
 def test_recovers_toy_matrix_exactly():
@@ -146,23 +175,23 @@ def test_attack_decrypt_matches_enumerating_the_span():
     pivots = matrix.pivots()
     dense = matrix.to_dense().astype(np.int64)
     a_inv = GF2Matrix.from_dense(dense[:, pivots]).inverse().to_dense()
+    errors = unpack_rows(span_members(basis)[1:, None], 8)
     decrypted = 0
-    for word in range(256):
-        ct = unpack_word(word, 8)
+    for ct in unpack_rows(np.arange(256, dtype=np.uint64)[:, None], 8):
         want = set()
-        for err in span_members(basis)[1:]:
-            target = ct ^ unpack_word(int(err), 8)
+        for err in errors:
+            target = ct ^ err
             msg = (target[pivots] @ a_inv) % 2
             if np.array_equal((msg @ dense) % 2, target):
-                want.add(pack_word(msg))
-        got = [pack_word(m) for m in attack_decrypt(matrix, basis, ct)]
+                want.add(tuple(msg))
+        got = [tuple(m) for m in attack_decrypt(matrix, basis, ct)]
         assert got == sorted(want)
         decrypted += bool(got)
     # every message under every nonzero perturbation, nothing else
     assert decrypted == 16 * 15
     # a basis word inside the row space makes the stacked rows dependent
     with pytest.raises(ValueError):
-        attack_decrypt(matrix, np.append(basis, np.uint64(pack_word(matrix.to_dense()[0]))), ct)
+        attack_decrypt(matrix, np.append(basis, pack_rows(matrix.to_dense()[:1])[0, 0]), ct)
 
 
 def test_recovers_structured_key_instance():
@@ -248,3 +277,194 @@ def test_cost_curve_grows_with_gap():
     # work does not grow monotonically: at gaps 6 and 12 the register
     # shows only a third of the perturbations, so pruning is sharper
     assert list(examined.values()) == [241, 596, 1801, 6088, 2227, 74638, 265164]
+
+
+# ---------------------------------------------------------------------------
+# the batched stages against the one-query loops
+# ---------------------------------------------------------------------------
+
+class LoopOracle(EncryptionOracle):
+    """Overrides ``encrypt`` with one syndrome draw and one one-block
+    encryption per query, as a tracing subclass does, and inherits the
+    batched ``query``."""
+
+    def encrypt(self, message):
+        self.queries += 1
+        ctx = self._ctx
+        if self.mode == "lfsr":
+            return ctx.encrypt(message).bits
+        if self.mode == "uniform":
+            syndrome = self._rng.integers(0, 2, size=self.gap, dtype=np.uint8)
+            return ctx.encrypt_with_syndrome(message, syndrome)
+        return ctx.encrypt_with_syndrome(message, self._pinned)
+
+
+def loop_word(oracle, message):
+    return np.uint64(pack_rows(oracle.encrypt(message)[None])[0, 0])
+
+
+def loop_collect(oracle, message, budget, window=None):
+    """The collection loop, one ``encrypt`` per query."""
+    n_e = 1 << oracle.gap
+    if window is None:
+        window = max(16, math.ceil(n_e * (math.log(n_e) + 0.5772)))
+    seen = set()
+    queries = since_new = 0
+    saturated = False
+    while queries < budget:
+        word = int(loop_word(oracle, message))
+        queries += 1
+        if word in seen:
+            since_new += 1
+        else:
+            seen.add(word)
+            since_new = 0
+        if len(seen) == n_e or since_new >= window:
+            saturated = True
+            break
+    words = np.array(sorted(seen), dtype=np.uint64)
+    reduced, pivots = rref((words[1:] ^ words[0])[:, None], oracle.block_length)
+    return ErrorSpace(reduced[: pivots.size, 0], words, queries, saturated)
+
+
+def loop_attack(oracle, collection_budget=None, verify_pairs=100, verify_cap=4096,
+                enum_cap=1 << 16, rng=None):
+    """``rn_attack`` one ``encrypt`` per query, with sorted-array membership."""
+    k, gap, n_e = oracle.num_info, oracle.gap, 1 << oracle.gap
+    if collection_budget is None:
+        collection_budget = 8 * n_e + max(16, math.ceil(n_e * (math.log(n_e) + 0.5772))) + 64
+    zero = np.zeros(k, dtype=np.uint8)
+    space = loop_collect(oracle, zero, collection_budget)
+    examined = 0
+
+    def failure(note):
+        return AttackResult(None, oracle.queries, oracle.block_length, space.differences,
+                            False, examined, note)
+
+    def member(words):
+        at = np.searchsorted(space.ciphertexts, words)
+        return space.ciphertexts[np.minimum(at, space.ciphertexts.size - 1)] == words
+
+    if not space.saturated:
+        return failure("error space incomplete within budget")
+    differences = span_members(space.differences)[1:]
+    units = np.eye(k, dtype=np.uint8)
+    candidates = []
+    for unit in units:
+        base = loop_word(oracle, zero) ^ loop_word(oracle, unit)
+        candidates.append(base ^ differences)
+        examined += differences.size
+    for i, unit in enumerate(units):
+        cand = candidates[i]
+        for _ in range(n_e - 1):
+            if cand.size == 0:
+                break
+            keep = member(loop_word(oracle, unit) ^ cand)
+            examined += cand.size
+            cand = cand[keep]
+        if cand.size == 0:
+            return failure(f"candidate set for row {i} emptied out (error space inconsistent)")
+        candidates[i] = cand
+    total = math.prod(c.size for c in candidates)
+    if total > enum_cap:
+        return failure(f"{total} assembled candidates exceed the enumeration cap {enum_cap}")
+    sizes = [c.size for c in candidates]
+    survivors = np.stack([np.tile(np.repeat(c, math.prod(sizes[i + 1:])), math.prod(sizes[:i]))
+                          for i, c in enumerate(candidates)], axis=1)
+    checked = 0
+    while checked < verify_cap and (survivors.shape[0] > 1 or checked < verify_pairs):
+        msg = rng.integers(0, 2, size=k, dtype=np.uint8)
+        if not msg.any():
+            continue
+        word = loop_word(oracle, msg)
+        vals = np.bitwise_xor.reduce(survivors[:, msg.astype(bool)], axis=1) ^ word
+        examined += survivors.shape[0]
+        survivors = survivors[member(vals)]
+        checked += 1
+        if survivors.shape[0] == 0:
+            return failure("no assembled candidate verifies")
+    if survivors.shape[0] != 1:
+        return failure(f"{survivors.shape[0]} candidates still verify after {checked} "
+                       "held-out queries")
+    matrix = GF2Matrix(k, oracle.block_length, survivors[0][:, None])
+    return AttackResult(matrix, oracle.queries, oracle.block_length, space.differences,
+                        True, examined, "")
+
+
+def stream_position(oracle):
+    """Where the oracle's syndrome stream stands."""
+    if oracle.mode == "uniform":
+        return oracle._rng.bit_generator.state
+    return oracle._ctx.lfsr.state.tolist(), oracle._ctx.blocks_processed
+
+
+def assert_same_run(batched, looped, got, want):
+    assert batched.queries == looped.queries
+    assert stream_position(batched) == stream_position(looped)
+    for name in got.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def both_ways(toy, mode, seed, run, reference, oracle_class=EncryptionOracle):
+    """``run`` on a fresh oracle of ``oracle_class``, and ``reference`` on a
+    fresh one-query oracle, both under the same stream."""
+    oracles = [cls(toy.context(), mode=mode, rng=derive_rng(seed, "uniform"))
+               for cls in (oracle_class, LoopOracle)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PartialErrorSpaceWarning)
+        got, want = run(oracles[0]), reference(oracles[1])
+    assert_same_run(*oracles, got, want)
+    return got
+
+
+shapes = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, min(8, (1 << n) - 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, mode=st.sampled_from(["lfsr", "uniform", "pinned"]),
+       seed=st.integers(0, 2**16), budget=st.integers(1, 1200),
+       window=st.none() | st.integers(1, 400))
+def test_batched_collection_matches_one_query_loop(shape, mode, seed, budget, window):
+    n, gap = shape
+    toy = build_toy_instance(n, (1 << n) - gap, seed=seed)
+    zero = np.zeros(toy.num_info, dtype=np.uint8)
+    both_ways(toy, mode, seed, lambda o: collect_error_space(o, zero, budget, window),
+              lambda o: loop_collect(o, zero, budget, window))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=shapes, mode=st.sampled_from(["lfsr", "uniform", "pinned"]),
+       seed=st.integers(0, 2**16), budget=st.none() | st.integers(1, 1500),
+       verify_pairs=st.integers(0, 30), verify_cap=st.integers(1, 60),
+       enum_cap=st.sampled_from([1, 64, 1 << 16]))
+def test_batched_attack_matches_one_query_loop(shape, mode, seed, budget, verify_pairs,
+                                               verify_cap, enum_cap):
+    n, gap = shape
+    toy = build_toy_instance(n, (1 << n) - gap, seed=seed)
+    kwargs = dict(collection_budget=budget, verify_pairs=verify_pairs, verify_cap=verify_cap,
+                  enum_cap=enum_cap)
+    both_ways(toy, mode, seed, lambda o: rn_attack(o, rng=derive_rng(seed, "v"), **kwargs),
+              lambda o: loop_attack(o, rng=derive_rng(seed, "v"), **kwargs))
+
+
+@pytest.mark.parametrize("n, k, seed, mode, kwargs, note", [
+    (3, 4, 3, "pinned", {}, "candidate set for row 0 emptied out"),
+    (4, 6, 1, "lfsr", {"collection_budget": 700}, "error space incomplete within budget"),
+    (4, 12, 6, "uniform", {}, "exceed the enumeration cap"),
+    (2, 2, 5, "uniform", {"verify_cap": 256}, "still verify"),
+    (3, 4, 3, "lfsr", {}, ""),
+])
+@pytest.mark.parametrize("oracle_class", [EncryptionOracle, LoopOracle])
+def test_batched_attack_failure_paths_match_one_query_loop(n, k, seed, mode, kwargs, note,
+                                                           oracle_class):
+    # LoopOracle stands for a subclass that overrides encrypt and inherits query
+    result = both_ways(build_toy_instance(n, k, seed=seed), mode, seed,
+                       lambda o: rn_attack(o, rng=derive_rng(seed, "v"), **kwargs),
+                       lambda o: loop_attack(o, rng=derive_rng(seed, "v"), **kwargs),
+                       oracle_class)
+    assert note in result.note and result.verified == (note == "")

@@ -299,6 +299,18 @@ def test_decrypt_rejects_syndromes_of_the_wrong_shape(key):
             ctx.decrypt_blocks_with_syndromes(received, np.zeros((1, 5), dtype=np.uint8))
 
 
+def test_uint8_and_int8_clean_blocks_decrypt_alike(key):
+    # a uint8 batch holds bits and is read as it is, with no erasure scan;
+    # the same blocks as int8 are scanned and found clean
+    msgs = derive_rng(15, "dtypes").integers(0, 2, size=(40, SMALL.num_info), dtype=np.uint8)
+    bits = CipherContext(key).encrypt_blocks(msgs)
+    assert bits.dtype == np.uint8
+    for received in (bits, bits.astype(np.int8)):
+        got, amb = CipherContext(key).decrypt_blocks(received)
+        assert np.array_equal(got, msgs)
+        assert not amb.any()
+
+
 def test_empty_batches(key):
     ctx = CipherContext(key)
     assert ctx.encrypt_blocks(np.zeros((0, SMALL.num_info), dtype=np.uint8)).shape == (

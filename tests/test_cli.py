@@ -167,6 +167,7 @@ def test_attack_rn_toy_end_to_end(capsys):
     assert fields["verified"] == "true"
     assert fields["exact_match"] == "true"
     assert fields["intercepted_decrypted"] == "true"
+    assert fields["rank"] == "4"
 
 
 def test_attack_rn_rejects_blocks_wider_than_a_word(capsys):
