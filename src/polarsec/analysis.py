@@ -27,6 +27,9 @@ from .polar import ReliabilityTable, bec_transmit, polar_transform
 #: tradeoff constant; treated as an input, not derived here).
 SCALING_EXPONENT_BEC = 3.6261
 
+# Blocks per encrypt/decrypt call of simulate_round_trip.
+_SIM_BATCH = 8192
+
 
 # ---------------------------------------------------------------------------
 # rate threshold and pool size
@@ -147,9 +150,11 @@ class ComplexityReport:
 
     Encryption: message-times-G' bound NK plus N for the permuted
     perturbation; decryption: N to unpermute, N*log2(N) for SC decoding,
-    K^2 to unscramble.  The implementation encodes via the butterfly
-    (N log N) rather than a dense NK product; these are the accounting
-    formulas, reported as stated.
+    K^2 to unscramble.  These are the accounting formulas, reported as
+    stated.  The implementation encrypts a block with one product by the
+    dense N x N map E, decrypts a block with no erasure with one product
+    by E^-1, and runs SC and the product by S^-1 only on a block with an
+    erasure (see :mod:`.cipher`).
     """
 
     mul_message_gprime: int
@@ -305,7 +310,6 @@ def simulate_round_trip(
     channel_epsilon: float,
     trials: int,
     rng: np.random.Generator,
-    batch_size: int = 8192,
 ) -> SimulationReport:
     """Run ``trials`` random blocks through the whole cipher pipeline.
 
@@ -324,7 +328,7 @@ def simulate_round_trip(
     ambiguous = 0
     done = 0
     while done < trials:
-        b = min(batch_size, trials - done)
+        b = min(_SIM_BATCH, trials - done)
         msgs = rng.integers(0, 2, size=(b, p.num_info), dtype=np.uint8)
         ct = sender.encrypt_blocks(msgs)
         received = bec_transmit(ct, channel_epsilon, rng)

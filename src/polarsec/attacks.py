@@ -26,6 +26,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -473,24 +474,30 @@ def attack_decrypt(
 # toy instances and the cost curve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyInstance:
-    """A small cipher instance with its ground truth exposed for tests."""
+    """A small cipher key without the block structure, its ground truth
+    exposed for tests: :class:`~.cipher.CipherContext` takes it as it
+    takes a :class:`~.keys.SecretKey`."""
 
-    n: int
     num_info: int
     taps: tuple[int, ...]
     info_indices: np.ndarray = field(repr=False)
     scrambler: GF2Matrix = field(repr=False)
     perm_dst: np.ndarray = field(repr=False)
     lfsr_state: np.ndarray = field(repr=False)
-    true_matrix: GF2Matrix = field(repr=False)
+
+    @cached_property
+    def scrambler_inverse(self) -> GF2Matrix:
+        return self.scrambler.inverse()
+
+    @cached_property
+    def true_matrix(self) -> GF2Matrix:
+        """G' = S G_A P, the matrix the attack must recover."""
+        return self.context().encryption_matrix()
 
     def context(self, start_block: int = 0) -> CipherContext:
-        return CipherContext.from_components(
-            self.n, self.info_indices, self.scrambler, self.perm_dst,
-            self.taps, self.lfsr_state, start_block=start_block,
-        )
+        return CipherContext(self, start_block)
 
     def oracle(
         self,
@@ -523,20 +530,14 @@ def build_toy_instance(n: int, num_info: int, seed: int = 0) -> ToyInstance:
     state = rng.integers(0, 2, size=gap, dtype=np.uint8)
     if not state.any():
         state[0] = 1
-    taps = taps_for_degree(gap)
-    instance = ToyInstance(
-        n=n,
+    return ToyInstance(
         num_info=num_info,
-        taps=taps,
+        taps=taps_for_degree(gap),
         info_indices=indices,
         scrambler=scrambler,
         perm_dst=perm_dst,
         lfsr_state=state,
-        true_matrix=CipherContext.from_components(
-            n, indices, scrambler, perm_dst, taps, state
-        ).encryption_matrix(),
     )
-    return instance
 
 
 @dataclass(frozen=True)

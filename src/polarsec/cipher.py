@@ -18,21 +18,25 @@ Decryption works on batches only.  A block with no erasure is C itself,
 and C E^-1 = [M, s]: one product by the same routine.  Only blocks with
 an erasure run the bitsliced successive-cancellation decoder of
 :mod:`.polar` on C P^-1, with the frozen positions pinned to the session
-syndrome, and then the product by S^-1.  A session builds what each
-direction needs on first use: E on first encrypt, S^-1 (for a key,
-inverted over the circulant ring, see :mod:`.keys`) and E^-1 on first
-decrypt.  Encryption also has a one-block session call.
+syndrome, and then the product by S^-1.  Encryption also has a
+one-block session call.
+
+A session is a function of its key alone, so ``CipherContext(key,
+start_block)`` is its only constructor; a toy instance of
+:mod:`.attacks` is a key without the block structure.  A session builds
+what each direction needs on first use: E, and for a key the dense S it
+is built from, on first encrypt; S^-1 (for a key, inverted over the
+circulant ring, see :mod:`.keys`) and E^-1 on first decrypt.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .gf2 import GF2Matrix, mul_bits_matrix, pack_rows
-from .keys import SecretKey, perm_offsets_to_dst
+from .keys import SecretKey
 from .lfsr import Lfsr
 from .polar import FrozenPlan, sc_decode_batch
 
@@ -54,85 +58,45 @@ class CiphertextBlock:
 class CipherContext:
     """Stateful encryption/decryption session bound to one key.
 
+    The key is a :class:`~.keys.SecretKey` or anything else with its six
+    session attributes: ``info_indices``, ``lfsr_state``, ``taps``,
+    ``perm_dst``, ``scrambler`` and ``scrambler_inverse`` (a toy instance
+    of :mod:`.attacks` is one).  N comes from ``perm_dst``.
+
     Each context owns an LFSR clocked forward one syndrome per block;
     encryptor and decryptor stay synchronized by processing the same
     number of blocks from the same ``start_block``.
     """
 
     def __init__(self, key: SecretKey, start_block: int = 0):
-        p = key.params
-        self._init_components(
-            n=p.n,
-            info_indices=np.asarray(key.info_indices, dtype=np.int64),
-            scrambler=key.scrambler,
-            scrambler_inverse=lambda: key.scrambler_inverse,
-            perm_dst=perm_offsets_to_dst(key.permutation_offsets, p.l),
-            taps=p.taps,
-            lfsr_state=np.asarray(key.lfsr_state, dtype=np.uint8),
-            start_block=start_block,
-        )
-
-    @classmethod
-    def from_components(
-        cls,
-        n: int,
-        info_indices: np.ndarray,
-        scrambler: GF2Matrix,
-        perm_dst: np.ndarray,
-        taps: tuple[int, ...],
-        lfsr_state: np.ndarray,
-        start_block: int = 0,
-    ) -> "CipherContext":
-        """Build a session from raw components (used by toy instances
-        whose scrambler/permutation need not be block-structured)."""
-        ctx = cls.__new__(cls)
-        ctx._init_components(
-            n=n,
-            info_indices=np.asarray(info_indices, dtype=np.int64),
-            scrambler=scrambler,
-            scrambler_inverse=scrambler.inverse,
-            perm_dst=np.asarray(perm_dst, dtype=np.int64),
-            taps=taps,
-            lfsr_state=np.asarray(lfsr_state, dtype=np.uint8),
-            start_block=start_block,
-        )
-        return ctx
-
-    def _init_components(
-        self,
-        n: int,
-        info_indices: np.ndarray,
-        scrambler: GF2Matrix,
-        scrambler_inverse: Callable[[], GF2Matrix],
-        perm_dst: np.ndarray,
-        taps: tuple[int, ...],
-        lfsr_state: np.ndarray,
-        start_block: int,
-    ) -> None:
         if start_block < 0:
             raise ValueError("start_block must be non-negative")
-        self.n = n
-        self.block_length = 1 << n
-        self.plan = FrozenPlan.from_info_set(n, info_indices)
-        self.num_info = self.plan.num_info
-        if (scrambler.nrows, scrambler.ncols) != (self.num_info, self.num_info):
-            raise ValueError("scrambler shape must be K x K")
-        self.scrambler = scrambler
-        self._scrambler_inverse = scrambler_inverse
-        perm_dst = np.asarray(perm_dst, dtype=np.int64)
-        if np.unique(perm_dst).size != self.block_length or perm_dst.shape != (self.block_length,):
+        self._key = key
+        perm_dst = np.asarray(key.perm_dst, dtype=np.int64)
+        self.block_length = perm_dst.size
+        self.n = self.block_length.bit_length() - 1
+        if self.block_length != 1 << self.n:
+            raise ValueError(f"block length {self.block_length} is not a power of two")
+        if not np.array_equal(np.sort(perm_dst), np.arange(self.block_length)):
             raise ValueError("perm_dst must be a permutation of 0..N-1")
         self.perm_dst = perm_dst
-        self.lfsr = Lfsr(taps, lfsr_state)
+        self.plan = FrozenPlan.from_info_set(self.n, key.info_indices)
+        self.num_info = self.plan.num_info
+        self.lfsr = Lfsr(key.taps, key.lfsr_state)
         self.lfsr.skip(start_block)  # jump to the session offset, O(log start_block)
         self.blocks_processed = start_block
 
     # ---- derived matrices --------------------------------------------
 
+    @property
+    def scrambler(self) -> GF2Matrix:
+        """S, the key's (for a key, built dense on first use)."""
+        return self._key.scrambler
+
     @cached_property
     def scrambler_inv(self) -> GF2Matrix:
-        """S^-1, built on first decrypt."""
-        return self._scrambler_inverse()
+        """S^-1, the key's, read on first decrypt."""
+        return self._key.scrambler_inverse
 
     @cached_property
     def _encryption_map(self) -> GF2Matrix:
@@ -260,13 +224,14 @@ def frame_plaintext(data: bytes, k: int) -> np.ndarray:
     trailer.
 
     The final block reserves its last 16 bits for a little-endian count
-    of payload bits held by the tail-carrying block.  A tail short enough
-    to share the final block does so; a longer tail gets its own
-    zero-padded block followed by a dedicated trailer block; an empty
-    input produces a single trailer-only block with count 0.
+    of payload bits held by the tail-carrying block; the count is below
+    K, so K may be at most 2**16.  A tail short enough to share the final
+    block does so; a longer tail gets its own zero-padded block followed
+    by a dedicated trailer block; an empty input produces a single
+    trailer-only block with count 0.
     """
-    if k < FRAME_COUNT_BITS:
-        raise ValueError(f"framing needs K >= {FRAME_COUNT_BITS}")
+    if not FRAME_COUNT_BITS <= k <= 1 << FRAME_COUNT_BITS:
+        raise ValueError(f"framing needs {FRAME_COUNT_BITS} <= K <= 2**{FRAME_COUNT_BITS}")
     cap = k - FRAME_COUNT_BITS
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     total = bits.size
@@ -288,13 +253,14 @@ def unframe_plaintext(blocks: np.ndarray) -> bytes:
     yields garbage bits but must still produce deterministic output): an
     out-of-range count is treated as 0, and a payload not ending on a
     byte boundary is truncated to whole bytes.  Only structural problems
-    (no blocks at all) raise :class:`CiphertextError`.
+    (no blocks at all, or K outside 16..2**16) raise
+    :class:`CiphertextError`.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[0] == 0:
         raise CiphertextError("plaintext stream must contain at least the trailer block")
     nblocks, k = blocks.shape
-    if k < FRAME_COUNT_BITS:
+    if not FRAME_COUNT_BITS <= k <= 1 << FRAME_COUNT_BITS:
         raise CiphertextError(f"block size {k} cannot carry the {FRAME_COUNT_BITS}-bit trailer")
     cap = k - FRAME_COUNT_BITS
     count = int(np.packbits(blocks[-1, cap:], bitorder="little").view(np.uint16)[0])

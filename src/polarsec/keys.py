@@ -423,6 +423,16 @@ class SecretKey:
     scrambler_positions: tuple[int, ...] = field(repr=False)
     permutation_offsets: tuple[int, ...] = field(repr=False)
 
+    @property
+    def taps(self) -> tuple[int, ...]:
+        """Feedback taps of the syndrome register (public, from ``params``)."""
+        return self.params.taps
+
+    @cached_property
+    def perm_dst(self) -> np.ndarray:
+        """Destination map of P (see :func:`perm_offsets_to_dst`)."""
+        return perm_offsets_to_dst(self.permutation_offsets, self.params.l)
+
     @cached_property
     def scrambler(self) -> GF2Matrix:
         """The dense K x K scrambler S, built on first use."""

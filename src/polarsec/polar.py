@@ -136,23 +136,18 @@ class FrozenPlan:
         Ascending 1-based information positions (length K).
     frozen_indices : ndarray
         Ascending 1-based frozen positions (length N - K).
-    frozen_values : ndarray
-        Default bit values placed at the frozen positions.
     """
 
     n: int
     info_indices: np.ndarray = field(repr=False)
     frozen_indices: np.ndarray = field(repr=False)
-    frozen_values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.n
         info = np.asarray(self.info_indices, dtype=np.int64)
         frozen = np.asarray(self.frozen_indices, dtype=np.int64)
-        vals = np.asarray(self.frozen_values, dtype=np.uint8)
         object.__setattr__(self, "info_indices", info)
         object.__setattr__(self, "frozen_indices", frozen)
-        object.__setattr__(self, "frozen_values", vals)
         if info.size + frozen.size != size:
             raise ValueError("information and frozen sets must partition 1..N")
         if info.size and (np.any(np.diff(info) <= 0) or info.min() < 1 or info.max() > size):
@@ -162,24 +157,15 @@ class FrozenPlan:
         merged = np.concatenate([info, frozen])
         if np.unique(merged).size != size:
             raise ValueError("information and frozen sets overlap")
-        if vals.shape != (frozen.size,):
-            raise ValueError("frozen_values length must match the frozen set")
-        if vals.size and vals.max() > 1:
-            raise ValueError("frozen_values must be bits")
 
     @classmethod
-    def from_info_set(
-        cls, n: int, info_indices: np.ndarray, frozen_values: np.ndarray | None = None
-    ) -> "FrozenPlan":
+    def from_info_set(cls, n: int, info_indices: np.ndarray) -> "FrozenPlan":
         size = 1 << n
         info = np.asarray(info_indices, dtype=np.int64)
         mask = np.ones(size + 1, dtype=bool)
         mask[0] = False
         mask[info] = False
-        frozen = np.nonzero(mask)[0]
-        if frozen_values is None:
-            frozen_values = np.zeros(frozen.size, dtype=np.uint8)
-        return cls(n=n, info_indices=info, frozen_indices=frozen, frozen_values=frozen_values)
+        return cls(n=n, info_indices=info, frozen_indices=np.nonzero(mask)[0])
 
     @property
     def block_length(self) -> int:
@@ -277,8 +263,7 @@ def sc_decode_batch(
         (batch, N) int8 channel output, -1 for erasures.
     plan : FrozenPlan
     frozen_values : ndarray, optional
-        (batch, N - K) per-block frozen bits; defaults to the plan's
-        fixed values broadcast over the batch.
+        (batch, N - K) per-block frozen bits; zeros when omitted.
 
     Returns
     -------
@@ -294,9 +279,7 @@ def sc_decode_batch(
     batch = y.shape[0]
     known, val = _bit_planes(y >= 0), _bit_planes(y > 0)
     u = np.zeros_like(known)
-    if frozen_values is None:
-        u[plan.frozen0] = np.where(plan.frozen_values, 0xFF, 0)[:, None]
-    else:
+    if frozen_values is not None:
         frozen_values = np.asarray(frozen_values, dtype=np.int8)
         if frozen_values.shape != (batch, plan.frozen0.size):
             raise ValueError("frozen_values must be (batch, N - K)")

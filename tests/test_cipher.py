@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarsec import cipher
-from polarsec.attacks import build_toy_instance
+from polarsec.attacks import ToyInstance, build_toy_instance
 from polarsec.cipher import (
     CipherContext,
     CiphertextBlock,
@@ -18,7 +18,13 @@ from polarsec.cipher import (
     unpack_ciphertext,
 )
 from polarsec.gf2 import GF2Matrix, mul_bits_matrix
-from polarsec.keys import KeyParams, generate_key, reference_params
+from polarsec.keys import (
+    KeyParams,
+    deserialize_key,
+    generate_key,
+    reference_params,
+    serialize_key,
+)
 from polarsec.polar import ERASED, bec_transmit, kernel_power, polar_transform, sc_decode_batch
 from polarsec.rng import derive_rng
 
@@ -323,8 +329,11 @@ def test_empty_batches(key):
 def test_sessions_build_only_what_they_use(monkeypatch):
     # a clean seal and open at the reference parameters run neither the
     # dense inverse nor SC; each direction builds only its own map, the
-    # clean open no S^-1 tables, and an all-erased open no E^-1
+    # clean open no S^-1 tables, and an all-erased open no E^-1; the
+    # sender's key gets no S^-1, and the receiver's freshly loaded key no
+    # dense S
     key = generate_key(reference_params(), derive_rng(21, "keygen"))
+    loaded = deserialize_key(serialize_key(key))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense inverse or SC decode in a noiseless session")
@@ -334,7 +343,7 @@ def test_sessions_build_only_what_they_use(monkeypatch):
     k, size = key.params.num_info, key.params.block_length
     sender = CipherContext(key, start_block=300)
     payload = pack_ciphertext(sender.encrypt_blocks(frame_plaintext(data, k)))
-    receiver = CipherContext(key, start_block=300)
+    receiver = CipherContext(loaded, start_block=300)
     with monkeypatch.context() as m:
         m.setattr(cipher, "sc_decode_batch", refuse)
         blocks, amb = receiver.decrypt_blocks(unpack_ciphertext(payload, size))
@@ -346,26 +355,47 @@ def test_sessions_build_only_what_they_use(monkeypatch):
     assert "tables" not in receiver.scrambler_inv.__dict__
     received = unpack_ciphertext(payload, size).astype(np.int8)
     received[:, 0] = ERASED
-    noisy = CipherContext(key, start_block=300)
+    noisy = CipherContext(loaded, start_block=300)
     noisy.decrypt_blocks(received)
     assert "_decryption_map" not in noisy.__dict__
+    assert "scrambler" not in loaded.__dict__
+    assert "scrambler_inverse" not in key.__dict__
 
 
-def test_from_components_matches_key_construction(key):
-    ctx = CipherContext(key)
-    clone = CipherContext.from_components(
-        key.params.n,
-        key.info_indices,
-        key.scrambler,
-        ctx.perm_dst,
-        key.params.taps,
-        key.lfsr_state,
+def test_toy_instance_of_key_components_matches_key(key):
+    # a key's components as a toy instance (S^-1 by the dense inverse)
+    # give the same sessions as the key (S^-1 over the circulant ring)
+    clone = ToyInstance(
+        num_info=SMALL.num_info,
+        taps=key.taps,
+        info_indices=key.info_indices,
+        scrambler=key.scrambler,
+        perm_dst=key.perm_dst,
+        lfsr_state=key.lfsr_state,
     )
     rng = derive_rng(7, "clone")
     msgs = rng.integers(0, 2, size=(5, SMALL.num_info), dtype=np.uint8)
-    assert np.array_equal(
-        CipherContext(key).encrypt_blocks(msgs), clone.encrypt_blocks(msgs))
-    assert clone.encryption_matrix() == ctx.encryption_matrix()
+    ct = CipherContext(key, start_block=9).encrypt_blocks(msgs)
+    assert np.array_equal(clone.context(start_block=9).encrypt_blocks(msgs), ct)
+    assert clone.true_matrix == CipherContext(key).encryption_matrix()
+    received = ct.astype(np.int8)
+    received[0, 0] = ERASED  # one block through SC and S^-1, the rest through E^-1
+    for session in (CipherContext(key, 9), clone.context(9)):
+        out, amb = session.decrypt_blocks(received)
+        assert np.array_equal(out[1:], msgs[1:]) and not amb[1:].any()
+    assert clone.scrambler_inverse == key.scrambler_inverse
+
+
+@pytest.mark.parametrize("perm_dst", [np.arange(12), np.array([0, 1, 2, 2]),
+                                      np.array([0, 1, 2, 4]), np.arange(8).reshape(2, 4)])
+def test_context_rejects_bad_shapes(perm_dst):
+    toy = build_toy_instance(2, 2, seed=5)
+    bad = ToyInstance(toy.num_info, toy.taps, toy.info_indices, toy.scrambler,
+                      perm_dst, toy.lfsr_state)
+    with pytest.raises(ValueError):
+        CipherContext(bad)
+    with pytest.raises(ValueError):
+        toy.context(start_block=-1)
 
 
 def test_unscramble_inverts_scramble(key):
@@ -403,6 +433,20 @@ def test_framing_empty_and_requirements():
     assert unframe_plaintext(blocks) == b""
     with pytest.raises(ValueError):
         frame_plaintext(b"x", 15)
+
+
+def test_framing_count_fits_sixteen_bits():
+    # the trailer counts up to K - 1 bits in 16 bits: 8191 bytes leave a
+    # 65528-bit tail past the shared-trailer cap at K = 2**16, and one
+    # bit more of K would not fit the count
+    data = derive_rng(14, "frame").bytes(8191)
+    blocks = frame_plaintext(data, 1 << 16)
+    assert blocks.shape == (2, 1 << 16)
+    assert unframe_plaintext(blocks) == data
+    with pytest.raises(ValueError):
+        frame_plaintext(data, (1 << 16) + 1)
+    with pytest.raises(CiphertextError):
+        unframe_plaintext(np.zeros((2, (1 << 16) + 1), dtype=np.uint8))
 
 
 def test_unframe_lenient_on_garbage():

@@ -187,6 +187,39 @@ def test_permutation_codec_round_trip():
         assert np.array_equal(compress_permutation(perm, p2), offsets)
 
 
+def _flip(dense: np.ndarray, row: int, col: int) -> np.ndarray:
+    out = dense.copy()
+    out[row, col] ^= 1
+    return out
+
+
+# each case edits a valid dense S or P of small_params() (l = 8, K = 48,
+# N = 64): (codec, edit, message of the KeyFormatError)
+CODEC_REJECTIONS = {
+    "scrambler-shape": (compress_scrambler, lambda d: d[:, :-1], "must be 48x48"),
+    "scrambler-not-circulant": (compress_scrambler, lambda d: _flip(d, 1, 8), "not circulant"),
+    "scrambler-row-weight": (compress_scrambler, lambda d: _flip(d, 0, 8), "first-row weight"),
+    "permutation-shape": (compress_permutation, lambda d: d[:-1, :-1], "must be 64x64"),
+    "permutation-off-diagonal": (compress_permutation,
+                                 lambda d: _flip(_flip(d, 1, np.flatnonzero(d[1])[0]), 1, 8),
+                                 "not block-diagonal"),
+    "permutation-multi-one": (compress_permutation,
+                              lambda d: _flip(d, 0, (np.flatnonzero(d[0])[0] + 1) % 8),
+                              "single 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_REJECTIONS))
+def test_codecs_reject_unstructured_matrices(case):
+    codec, edit, message = CODEC_REJECTIONS[case]
+    p = small_params()
+    rng = derive_rng(12, "codec-reject")
+    valid = (gen_scrambler if codec is compress_scrambler else gen_permutation)(p, rng)
+    codec(valid, p)  # the unedited matrix compresses
+    with pytest.raises(KeyFormatError, match=message):
+        codec(GF2Matrix.from_dense(edit(valid.to_dense())), p)
+
+
 def test_perm_offsets_to_dst_matches_matrix_action():
     p = small_params()
     rng = derive_rng(11, "perm-action")

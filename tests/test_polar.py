@@ -83,13 +83,12 @@ def test_encoding_injectivity_exhaustive():
         size = 1 << n
         for k in (1, size // 2, size - 1):
             info = np.sort(rng.choice(size, size=k, replace=False)) + 1
-            plan = FrozenPlan.from_info_set(n, info,
-                                            rng.integers(0, 2, size=size - k,
-                                                         dtype=np.uint8))
+            plan = FrozenPlan.from_info_set(n, info)
+            frozen_vals = rng.integers(0, 2, size=size - k, dtype=np.uint8)
             msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
             u = np.zeros((1 << k, size), dtype=np.uint8)
             u[:, plan.info0] = msgs
-            u[:, plan.frozen0] = plan.frozen_values
+            u[:, plan.frozen0] = frozen_vals
             words = polar_transform(u)
             packed = np.packbits(words, axis=1)
             assert len({bytes(row) for row in packed}) == 1 << k
@@ -135,7 +134,7 @@ def test_sc_decoder_matches_reference_exhaustively():
             k = int(rng.integers(1, size + 1))
             info = np.sort(rng.choice(size, size=k, replace=False)) + 1
             frozen_vals = rng.integers(0, 2, size=size - k, dtype=np.uint8)
-            plan = FrozenPlan.from_info_set(n, info, frozen_vals)
+            plan = FrozenPlan.from_info_set(n, info)
             frozen_mask = np.zeros(size, dtype=bool)
             frozen_mask[plan.frozen0] = True
             leaf_vals = np.zeros(size, dtype=np.int8)
@@ -150,7 +149,8 @@ def test_sc_decoder_matches_reference_exhaustively():
                 u[plan.frozen0] = frozen_vals
                 x = polar_transform(u[None, :].copy())[0]
                 y = np.where(masks, ERASED, x.astype(np.int8))
-                got, got_amb = sc_decode_batch(y, plan)
+                got, got_amb = sc_decode_batch(
+                    y, plan, np.broadcast_to(frozen_vals, (len(y), size - k)))
                 want_amb = [_reference_sc(row, frozen_mask, leaf_vals)[2] for row in y]
                 assert got_amb.tolist() == want_amb
                 # over the BEC, unambiguous SC decisions are exact
@@ -170,10 +170,10 @@ def test_sc_decode_batch_matches_reference(n, batch, rate, per_block, fortran, s
     rng = np.random.default_rng(seed)
     size = 1 << n
     info = np.flatnonzero(rng.integers(0, 2, size=size)) + 1
-    plan = FrozenPlan.from_info_set(n, info, rng.integers(0, 2, size=size - info.size,
-                                                          dtype=np.uint8))
+    plan = FrozenPlan.from_info_set(n, info)
+    # per-block frozen bits, or none passed, which decodes as zeros
     frozen = (rng.integers(0, 2, size=(batch, size - info.size), dtype=np.uint8)
-              if per_block else np.broadcast_to(plan.frozen_values, (batch, size - info.size)))
+              if per_block else np.zeros((batch, size - info.size), dtype=np.uint8))
     bits = rng.integers(0, 2, size=(batch, size), dtype=np.int8)
     y = np.where(rng.random((batch, size)) < rate, ERASED, bits)
     got, amb = sc_decode_batch(np.asfortranarray(y) if fortran else y, plan,
@@ -194,7 +194,7 @@ def test_per_block_frozen_values_override():
     n, k = 3, 4
     size = 1 << n
     info = np.array([4, 6, 7, 8])
-    plan = FrozenPlan.from_info_set(n, info, np.zeros(size - k, dtype=np.uint8))
+    plan = FrozenPlan.from_info_set(n, info)
     msgs = rng.integers(0, 2, size=(8, k), dtype=np.uint8)
     frozen = rng.integers(0, 2, size=(8, size - k), dtype=np.uint8)
     u = np.zeros((8, size), dtype=np.uint8)
@@ -209,7 +209,7 @@ def test_per_block_frozen_values_override():
 def test_exhaustive_ambiguity_half_erasure_worst_channel():
     # information set {4} at epsilon = 1/2: failure exactly when the
     # last synthetic channel erases, probability z_4 = 1/16
-    plan = FrozenPlan.from_info_set(2, np.array([4]), np.zeros(3, dtype=np.uint8))
+    plan = FrozenPlan.from_info_set(2, np.array([4]))
     assert exhaustive_ambiguity(plan, 0.5) == 0.0625
     table = bhattacharyya(2, 0.5)
     assert table.z[3] == 0.0625
