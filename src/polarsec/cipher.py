@@ -108,10 +108,10 @@ class CipherContext:
         info, frozen = (pack_rows((src & ~at.astype(index)[:, None]) == 0)
                         for at in (self.plan.info0, self.plan.frozen0))
         words = np.vstack([np.zeros_like(info), frozen])
-        rows, cols = np.divmod(np.flatnonzero(self.scrambler.to_dense()), self.num_info)
-        supported = np.unique(rows)  # reduceat gives an empty row a row, not zero
-        words[supported] = np.bitwise_xor.reduceat(
-            info[cols], np.searchsorted(rows, supported), axis=0)
+        support = np.flatnonzero(self.scrambler.to_dense().view(bool))
+        rows, cols = np.divmod(support, self.num_info)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # a zero row of S stays zero
+        words[rows[starts]] = np.bitwise_xor.reduceat(info[cols], starts, axis=0)
         words.setflags(write=False)
         return GF2Matrix(size, size, words)
 

@@ -40,27 +40,36 @@ key needs no rank.
 Scrambler inverse over the ring
 -------------------------------
 S^-1 is block-circulant of the same shape, so it is computed over R, not
-over GF(2) K x K.  Each block is an l-bit int, bit i the coefficient of
-x**i (position p contributes x**(p-1), the lift adds 1 to the diagonal
-blocks), and blocks multiply as polynomials mod x**l - 1.  An element of
-R is a unit exactly when its weight is odd; a unit u = 1 + m has m in the
+over GF(2) K x K.  A block is its l coefficients, that of x**i at index i
+(position p contributes x**(p-1), the lift adds 1 to the diagonal
+blocks).  For the product the coefficients are spread into lanes of a
+Python int, coefficient i at bit w*i with w the width of the smallest
+unsigned type that holds l (8 bits up to l = 128, 16 for l = 256), so one
+big-int multiply sums every term: lane j counts the terms of x**j, at most
+l, and no carry leaves a lane.  Lanes l.. fold onto lanes 0.. (x**l = 1)
+and bit 0 of each lane is the coefficient mod 2.  An element of R is a
+unit exactly when its weight is odd; a unit u = 1 + m has m in the
 nilpotent ideal (x + 1), so u**-1 = (1 + m)(1 + m**2)(1 + m**4)... up to
-the first m**(2**j) = 0 (at most log2(l) factors).  Gauss-Jordan on
-the k0 x k0 matrix over R takes any odd-weight entry of the column as
-pivot; when none is left the matrix is singular.  The result expands to
-the dense matrix whose block (i, j) holds, at row r and column c, bit
-(c - r) mod l of its polynomial (:attr:`SecretKey.scrambler_inverse`).
+the first m**(2**j) = 0 (at most log2(l) factors).  Gauss-Jordan on the
+k0 x k0 matrix over R takes any odd-weight entry of the column as pivot;
+when none is left the matrix is singular.  Blocks enter and leave the
+lanes once, as coefficient arrays.  The result expands to the dense
+matrix whose block (i, j) holds, at row r and column c, bit (c - r) mod l
+of its polynomial: row r is the window of the doubled coefficient row
+that starts at l - r, and the windows are packed into GF(2) rows
+(:attr:`SecretKey.scrambler_inverse`; S itself expands the same way).
 """
 from __future__ import annotations
 
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .gf2 import GF2Matrix, SingularMatrixError
+from .gf2 import GF2Matrix, SingularMatrixError, pack_rows
 from .lfsr import validate_taps
 from .polar import ReliabilityTable, bhattacharyya
 
@@ -151,7 +160,17 @@ class KeyParams:
         return self.k0 >= 2
 
     def reliability_table(self) -> ReliabilityTable:
-        return bhattacharyya(self.n, self.epsilon)
+        """The design-time table, public and deterministic: computed once
+        per (n, epsilon), its arrays read-only."""
+        return _reliability_table(self.n, self.epsilon)
+
+
+@cache
+def _reliability_table(n: int, epsilon: float) -> ReliabilityTable:
+    table = bhattacharyya(n, epsilon)
+    table.z.setflags(write=False)
+    table.pi.setflags(write=False)
+    return table
 
 
 def reference_params() -> KeyParams:
@@ -238,29 +257,33 @@ def _check_permutation_offsets(offsets, params: KeyParams) -> np.ndarray:
     return arr
 
 
-def _scrambler_blocks(positions, params: KeyParams) -> list[list[int]]:
-    """S as a k0 x k0 matrix over R (l-bit ints), from its 1-based
-    first-row positions, diagonal parity lift included."""
+def _scrambler_blocks(positions, params: KeyParams) -> np.ndarray:
+    """S as a k0 x k0 matrix over R, a (k0, k0, l) uint8 array of
+    coefficients, from its 1-based first-row positions, diagonal parity
+    lift included."""
     k0, positions = params.k0, _check_scrambler_positions(positions, params)
-    return [
-        [
-            sum(1 << (int(p) - 1) for p in positions[i, j]) ^ int(params.uses_lift and i == j)
-            for j in range(k0)
-        ]
-        for i in range(k0)
-    ]
+    blocks = np.zeros((k0, k0, params.l), dtype=np.uint8)
+    np.put_along_axis(blocks, positions - 1, 1, axis=2)
+    if params.uses_lift:
+        blocks[np.arange(k0), np.arange(k0), 0] ^= 1
+    return blocks
+
+
+@cache
+def _lanes(l: int) -> tuple[np.dtype, int, int]:
+    """Lane type (it counts up to l, the most terms of one coefficient of a
+    product), the bit offset of lane l and the mask of bit 0 of lanes
+    0..l-1."""
+    lane = np.min_scalar_type(l).newbyteorder("<")  # the byte order of int.from_bytes
+    return lane, 8 * lane.itemsize * l, int.from_bytes(np.ones(l, lane).tobytes(), "little")
 
 
 def _ring_mul(a: int, b: int, l: int) -> int:
-    """a(x) b(x) mod x**l - 1, by shifted XORs over the bits of the sparser factor."""
-    if a.bit_count() < b.bit_count():
-        a, b = b, a
-    acc = 0
-    while b:
-        low = b & -b
-        acc ^= a << (low.bit_length() - 1)
-        b ^= low
-    return (acc ^ (acc >> l)) & ((1 << l) - 1)
+    """a(x) b(x) mod x**l - 1 on lane-spread ints: lane j of a * b counts
+    the terms of x**j, lanes l.. fold onto 0.., and bit 0 is the parity."""
+    _, high, ones = _lanes(l)
+    prod = a * b
+    return (prod ^ (prod >> high)) & ones
 
 
 def _ring_unit_inverse(u: int, l: int) -> int:
@@ -272,11 +295,13 @@ def _ring_unit_inverse(u: int, l: int) -> int:
     return inv
 
 
-def _ring_inverse(blocks: list[list[int]], l: int) -> list[list[int]]:
-    """Gauss-Jordan inverse of a square matrix over R; raises
-    ``SingularMatrixError`` when a column has no odd-weight pivot left."""
-    k = len(blocks)
-    work = [row[:] for row in blocks]
+def _ring_inverse(blocks: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of a (k, k, l) coefficient array over R, on
+    lane-spread ints; raises ``SingularMatrixError`` when a column has no
+    odd-weight pivot left."""
+    k, _, l = blocks.shape
+    lane = _lanes(l)[0]
+    work = [[int.from_bytes(e.astype(lane).tobytes(), "little") for e in row] for row in blocks]
     inv = [[int(i == j) for j in range(k)] for i in range(k)]
     for col in range(k):
         piv = next((r for r in range(col, k) if work[r][col].bit_count() & 1), None)
@@ -292,19 +317,19 @@ def _ring_inverse(blocks: list[list[int]], l: int) -> list[list[int]]:
             if r != col and f:
                 work[r] = [x ^ _ring_mul(f, y, l) for x, y in zip(work[r], work[col])]
                 inv[r] = [x ^ _ring_mul(f, y, l) for x, y in zip(inv[r], inv[col])]
-    return inv
+    raw = b"".join(e.to_bytes(l * lane.itemsize, "little") for row in inv for e in row)
+    return np.frombuffer(raw, dtype=lane).reshape(k, k, l).astype(np.uint8)
 
 
-def _expand_blocks(blocks: list[list[int]], l: int) -> np.ndarray:
-    """Dense matrix of a k0 x k0 matrix over R: block (i, j) at row r,
-    column c holds bit (c - r) mod l of its polynomial."""
-    k0, width = len(blocks), (l + 7) // 8
-    raw = b"".join(e.to_bytes(width, "little") for row in blocks for e in row)
-    coeffs = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(k0, k0, width), axis=2, bitorder="little"
-    )[..., :l]
-    shift = (np.arange(l)[None, :] - np.arange(l)[:, None]) % l
-    return coeffs[:, :, shift].transpose(0, 2, 1, 3).reshape(k0 * l, k0 * l)
+def _expand_blocks(blocks: np.ndarray) -> GF2Matrix:
+    """Packed dense matrix of a (k0, k0, l) coefficient array over R:
+    block (i, j) at row r, column c holds bit (c - r) mod l of its
+    polynomial, so row r is the window of the doubled coefficient row that
+    starts at l - r."""
+    k0, _, l = blocks.shape
+    windows = sliding_window_view(np.concatenate([blocks, blocks], axis=2), l, axis=2)
+    rows = windows[:, :, l:0:-1].transpose(0, 2, 1, 3).reshape(k0 * l, k0 * l)
+    return GF2Matrix(k0 * l, k0 * l, pack_rows(rows))
 
 
 def gen_scrambler(params: KeyParams, rng: np.random.Generator) -> GF2Matrix:
@@ -328,32 +353,29 @@ def compress_scrambler(scrambler: GF2Matrix, params: KeyParams) -> tuple[int, ..
     k = params.num_info
     if (scrambler.nrows, scrambler.ncols) != (k, k):
         raise KeyFormatError(f"scrambler must be {k}x{k}")
-    dense = scrambler.to_dense()
-    if params.uses_lift:
-        dense = dense.copy()
-        dense[np.arange(k), np.arange(k)] ^= 1
     k0, l, mu = params.k0, params.l, params.mu_s
-    out: list[int] = []
-    shifts = np.arange(l)
-    for bj in range(k0):
-        for bk in range(k0):
-            block = dense[bj * l : (bj + 1) * l, bk * l : (bk + 1) * l]
-            pos = np.nonzero(block[0])[0]
-            if pos.size != mu:
-                raise KeyFormatError(
-                    f"block ({bj},{bk}) first-row weight {pos.size} != mu_s = {mu}"
-                )
-            expect = np.zeros((l, l), dtype=np.uint8)
-            expect[shifts[:, None], (pos[None, :] + shifts[:, None]) % l] = 1
-            if not np.array_equal(block, expect):
-                raise KeyFormatError(f"block ({bj},{bk}) is not circulant")
-            out.extend(int(p) + 1 for p in pos)
-    return tuple(out)
+    dense = scrambler.to_dense()
+    blocks = dense[::l].reshape(k0, k0, l)  # block (i, j)'s first row: its coefficients
+    drawn = blocks.copy()
+    if params.uses_lift:
+        drawn[np.arange(k0), np.arange(k0), 0] ^= 1
+    weights = drawn.sum(axis=2)
+    bad = np.argwhere(weights != mu)
+    if bad.size:
+        bj, bk = bad[0]
+        raise KeyFormatError(
+            f"block ({bj},{bk}) first-row weight {weights[bj, bk]} != mu_s = {mu}")
+    bad = np.argwhere((_expand_blocks(blocks).to_dense() != dense)
+                      .reshape(k0, l, k0, l).any(axis=(1, 3)))
+    if bad.size:
+        bj, bk = bad[0]
+        raise KeyFormatError(f"block ({bj},{bk}) is not circulant")
+    return tuple(int(p) + 1 for p in np.nonzero(drawn)[2])
 
 
 def decompress_scrambler(positions: tuple[int, ...], params: KeyParams) -> GF2Matrix:
     """Rebuild the scrambler matrix from 1-based first-row positions."""
-    return GF2Matrix.from_dense(_expand_blocks(_scrambler_blocks(positions, params), params.l))
+    return _expand_blocks(_scrambler_blocks(positions, params))
 
 
 def perm_offsets_to_dst(offsets: np.ndarray, l: int) -> np.ndarray:
@@ -442,9 +464,8 @@ class SecretKey:
     def scrambler_inverse(self) -> GF2Matrix:
         """S^-1, inverted over the circulant ring on first use (see the
         module docstring); ``SingularMatrixError`` if S is singular."""
-        l = self.params.l
-        inverse = _ring_inverse(_scrambler_blocks(self.scrambler_positions, self.params), l)
-        return GF2Matrix.from_dense(_expand_blocks(inverse, l))
+        blocks = _scrambler_blocks(self.scrambler_positions, self.params)
+        return _expand_blocks(_ring_inverse(blocks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SecretKey):
@@ -486,11 +507,10 @@ def validate_key(key: SecretKey, table: ReliabilityTable | None = None) -> None:
         raise KeyFormatError(f"secret indices must lie in 1..{p.block_length}")
     if table is None:
         table = p.reliability_table()
-    pool_set = set(int(i) for i in table.pi[: p.pool])
-    outside = [int(i) for i in idx if int(i) not in pool_set]
-    if outside:
+    outside = idx[~np.isin(idx, table.pi[: p.pool])]
+    if outside.size:
         raise KeyFormatError(
-            f"secret indices {outside[:4]}... fall outside the {p.pool}-channel pool"
+            f"secret indices {outside[:4].tolist()}... fall outside the {p.pool}-channel pool"
         )
     state = np.asarray(key.lfsr_state, dtype=np.uint8)
     if state.shape != (p.num_frozen,):

@@ -88,12 +88,21 @@ def test_encryption_is_affine_in_message_and_syndrome(key):
         assert np.array_equal(got, (msg @ gprime) % 2 ^ permuted_pert)
 
 
+def with_scrambler(toy: ToyInstance, dense: np.ndarray) -> ToyInstance:
+    return ToyInstance(toy.num_info, toy.taps, toy.info_indices, GF2Matrix.from_dense(dense),
+                       toy.perm_dst, toy.lfsr_state)
+
+
 def test_encryption_matrix_matches_dense_reference(key, reference_key):
     # G' = S G_A P from the dense kernel power, sharing no code with the
-    # butterfly: row i of G_A is row info0[i] of F^(n)
-    for k in (key, reference_key):
+    # butterfly: row i of G_A is row info0[i] of F^(n); a singular toy S
+    # with zero rows, or all zero, gives G' zero rows there
+    zero_rows = TOY.scrambler.to_dense()
+    zero_rows[[0, 7, 19]] = 0
+    for k in (key, reference_key, with_scrambler(TOY, zero_rows),
+              with_scrambler(TOY, np.zeros_like(zero_rows))):
         ctx = CipherContext(k)
-        f = kernel_power(k.params.n).astype(np.float64)
+        f = kernel_power(ctx.n).astype(np.float64)
         sga = (k.scrambler.to_dense().astype(np.float64) @ f[ctx.plan.info0]) % 2
         want = np.empty_like(sga)
         want[:, ctx.perm_dst] = sga

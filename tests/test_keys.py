@@ -1,13 +1,16 @@
 """Key material: structured generation, compression codecs, file format."""
 import hashlib
 import itertools
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarsec import gf2
+from polarsec import gf2, keys
 from polarsec.gf2 import GF2Matrix, SingularMatrixError
 from polarsec.keys import (
     MAGIC,
@@ -30,6 +33,7 @@ from polarsec.keys import (
     serialize_key,
     validate_key,
 )
+from polarsec.polar import bhattacharyya
 from polarsec.rng import derive_rng
 
 
@@ -150,6 +154,87 @@ def test_scrambler_inverse_over_ring_matches_dense_at_reference_params():
     for seed in (1, 2, 3):
         key = generate_key(reference_params(), derive_rng(seed, "keygen"))
         assert key.scrambler_inverse == key.scrambler.inverse()
+
+
+def reference_ring_mul(a: int, b: int, l: int) -> int:
+    """a(x) b(x) mod x**l - 1 on l-bit ints, bit i the coefficient of x**i,
+    by shifted XORs over the bits of the sparser factor."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
+    return (acc ^ (acc >> l)) & ((1 << l) - 1)
+
+
+def lane_width(l: int) -> int:
+    return 8 * np.min_scalar_type(l).itemsize
+
+
+def spread(a: int, l: int) -> int:
+    """Bit i of a at bit w i, w the lane width."""
+    return sum(((a >> i) & 1) << (lane_width(l) * i) for i in range(l))
+
+
+def gather(x: int, l: int) -> int:
+    """Inverse of :func:`spread`; fails on a lane holding more than its bit 0."""
+    w = lane_width(l)
+    assert x < 1 << (w * l)
+    lanes = [(x >> (w * i)) & ((1 << w) - 1) for i in range(l)]
+    assert max(lanes) <= 1
+    return sum(bit << i for i, bit in enumerate(lanes))
+
+
+RING_SIZES = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+
+
+@st.composite
+def ring_pairs(draw):
+    l = draw(st.sampled_from(RING_SIZES))
+    element = st.one_of(st.integers(0, (1 << l) - 1), st.sampled_from([0, 1, (1 << l) - 1]))
+    return l, draw(element), draw(element)
+
+
+@settings(max_examples=300)
+@given(ring_pairs())
+def test_lane_ring_product_matches_bit_loop(pair):
+    # lanes of 8 bits would carry at l = 256 (the all-ones square counts
+    # 256 terms in lane 255); the lane type holds l
+    l, a, b = pair
+    assert gather(keys._ring_mul(spread(a, l), spread(b, l), l), l) == reference_ring_mul(a, b, l)
+    if a.bit_count() & 1:
+        inverse = gather(keys._ring_unit_inverse(spread(a, l), l), l)
+        assert reference_ring_mul(a, inverse, l) == 1
+
+
+@pytest.mark.parametrize("l", RING_SIZES[1:])
+@pytest.mark.parametrize("k0", [1, 2, 3, 4])
+def test_ring_inverse_matches_dense_inverse(k0, l):
+    # random dense blocks with their parities set to I (a unit determinant)
+    # or with a zero first column of parities (singular); the expansion of
+    # the ring inverse is the GF(2) inverse of the expanded matrix
+    rng = derive_rng(k0 * 1000 + l, "ring-inverse")
+    blocks = rng.integers(0, 2, size=(k0, k0, l), dtype=np.uint8)
+    blocks[..., 0] ^= blocks.sum(axis=2, dtype=np.uint8) % 2 ^ np.eye(k0, dtype=np.uint8)
+    dense = keys._expand_blocks(blocks)
+    assert keys._expand_blocks(keys._ring_inverse(blocks)) == dense.inverse()
+    blocks[0, 0, 0] ^= 1  # parities of column 0 now all zero
+    with pytest.raises(SingularMatrixError):
+        keys._ring_inverse(blocks)
+    if k0 * l <= 512:
+        assert not keys._expand_blocks(blocks).is_nonsingular()
+
+
+@pytest.mark.parametrize("l", RING_SIZES[:-1])
+def test_expand_blocks_matches_its_definition(l):
+    # block (i, j) at row r, column c holds bit (c - r) mod l
+    k0 = 3
+    blocks = derive_rng(l, "expand").integers(0, 2, size=(k0, k0, l), dtype=np.uint8)
+    r, c = np.meshgrid(np.arange(l), np.arange(l), indexing="ij")
+    want = blocks[:, :, (c - r) % l].transpose(0, 2, 1, 3).reshape(k0 * l, k0 * l)
+    assert keys._expand_blocks(blocks) == GF2Matrix.from_dense(want)
 
 
 def test_identity_scrambler_valid_single_block():
@@ -338,3 +423,27 @@ def test_validate_key_catches_tampering():
         key, lfsr_state=np.zeros_like(key.lfsr_state))
     with pytest.raises(ValueError):
         validate_key(zeroed)
+
+
+def test_reliability_table_is_shared_and_read_only():
+    p = small_params()
+    table = p.reliability_table()
+    assert small_params(pool=52).reliability_table() is table
+    fresh = bhattacharyya(p.n, p.epsilon)
+    for cached, computed in ((table.z, fresh.z), (table.pi, fresh.pi)):
+        assert np.array_equal(cached, computed)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[1]
+
+
+def test_validate_key_names_indices_outside_the_pool():
+    import dataclasses
+
+    p = small_params(pool=52)
+    key = generate_key(p, derive_rng(6, "keygen"))
+    pool = p.reliability_table().pi[: p.pool]
+    outside = np.setdiff1d(np.arange(1, p.block_length + 1), pool)[:2]
+    idx = np.sort(np.concatenate([pool[: p.num_info - 2], outside]))
+    with pytest.raises(KeyFormatError, match=re.escape(
+            f"secret indices {outside.tolist()}... fall outside the 52-channel pool")):
+        validate_key(dataclasses.replace(key, info_indices=idx))
