@@ -152,9 +152,9 @@ class ComplexityReport:
     perturbation; decryption: N to unpermute, N*log2(N) for SC decoding,
     K^2 to unscramble.  These are the accounting formulas, reported as
     stated.  The implementation encrypts a block with one product by the
-    dense N x N map E, decrypts a block with no erasure with one product
-    by E^-1, and runs SC and the product by S^-1 only on a block with an
-    erasure (see :mod:`.cipher`).
+    dense N x N map E.  It decrypts a batch with no erasure with one
+    product by E^-1, and a batch with any erasure by SC on every block,
+    then one product by S^-1 (see :mod:`.cipher`).
     """
 
     mul_message_gprime: int

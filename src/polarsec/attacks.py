@@ -74,7 +74,7 @@ class EncryptionOracle:
         A fresh uniform syndrome per query, zero included (``rng``
         required) — the idealized re-randomizing oracle.
     ``"pinned"``
-        One fixed syndrome for every query.
+        One fixed syndrome, e_0 = (1, 0, ..., 0), for every query.
 
     The attacker side sees only :meth:`query` (and its one-block form
     :meth:`encrypt`) plus the public dimensions; the query counter is
@@ -86,7 +86,6 @@ class EncryptionOracle:
         ctx: CipherContext,
         mode: str = "lfsr",
         rng: np.random.Generator | None = None,
-        pinned_syndrome: np.ndarray | None = None,
     ):
         if mode not in ("lfsr", "uniform", "pinned"):
             raise ValueError(f"unknown oracle mode {mode!r}")
@@ -99,11 +98,7 @@ class EncryptionOracle:
         self.block_length = ctx.block_length
         self.num_info = ctx.num_info
         self.gap = ctx.block_length - ctx.num_info
-        if mode == "pinned":
-            if pinned_syndrome is None:
-                pinned_syndrome = np.zeros(self.gap, dtype=np.uint8)
-                pinned_syndrome[0] = 1
-            self._pinned = np.asarray(pinned_syndrome, dtype=np.uint8)
+        self._pinned = np.eye(1, self.gap, dtype=np.uint8)[0]  # e_0, pinned mode's syndrome
 
     def query(
         self, messages: np.ndarray, take: Callable[[np.ndarray], int] | None = None
@@ -499,14 +494,9 @@ class ToyInstance:
     def context(self, start_block: int = 0) -> CipherContext:
         return CipherContext(self, start_block)
 
-    def oracle(
-        self,
-        mode: str = "lfsr",
-        rng: np.random.Generator | None = None,
-        pinned_syndrome: np.ndarray | None = None,
-    ) -> EncryptionOracle:
-        return EncryptionOracle(self.context(), mode=mode, rng=rng,
-                                pinned_syndrome=pinned_syndrome)
+    def oracle(self, mode: str = "lfsr",
+               rng: np.random.Generator | None = None) -> EncryptionOracle:
+        return EncryptionOracle(self.context(), mode=mode, rng=rng)
 
 
 def build_toy_instance(n: int, num_info: int, seed: int = 0) -> ToyInstance:
@@ -566,7 +556,6 @@ def _curve_shape(gap: int) -> int:
 def attack_cost_curve(
     gaps: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
-    collection_budget: int | None = None,
 ) -> tuple[CostPoint, ...]:
     """Run the attack across increasing N - K and record measured cost.
 
@@ -579,11 +568,7 @@ def attack_cost_curve(
         instance = build_toy_instance(n, (1 << n) - gap, seed=seed + gap)
         oracle = instance.oracle(mode="lfsr")
         start = time.perf_counter()
-        result = rn_attack(
-            oracle,
-            collection_budget=collection_budget,
-            rng=derive_rng(seed + gap, "curve-verify"),
-        )
+        result = rn_attack(oracle, rng=derive_rng(seed + gap, "curve-verify"))
         elapsed = time.perf_counter() - start
         points.append(
             CostPoint(

@@ -14,11 +14,13 @@ The block map is one fixed N x N matrix, C = [M, s] E with
 E = [S G_A; G_Ac] P, so encryption is one table product
 (:func:`.gf2.mul_bits_matrix`).
 
-Decryption works on batches only.  A block with no erasure is C itself,
-and C E^-1 = [M, s]: one product by the same routine.  Only blocks with
-an erasure run the bitsliced successive-cancellation decoder of
-:mod:`.polar` on C P^-1, with the frozen positions pinned to the session
-syndrome, and then the product by S^-1.  Encryption also has a
+Decryption works on batches only, and picks one path per batch.  A batch
+with no erasure holds C itself, and C E^-1 = [M, s]: one product by the
+same routine.  A batch with any erasure runs the bitsliced
+successive-cancellation decoder of :mod:`.polar` on C P^-1 for every
+block, with the frozen positions pinned to the session syndrome, and then
+one product by S^-1; on a block with no erasure SC returns u_A exactly,
+so a valid block decodes the same on either path.  Encryption also has a
 one-block session call.
 
 A session is a function of its key alone, so ``CipherContext(key,
@@ -26,7 +28,8 @@ start_block)`` is its only constructor; a toy instance of
 :mod:`.attacks` is a key without the block structure.  A session builds
 what each direction needs on first use: E, and for a key the dense S it
 is built from, on first encrypt; S^-1 (for a key, inverted over the
-circulant ring, see :mod:`.keys`) and E^-1 on first decrypt.
+circulant ring, see :mod:`.keys`) on first decrypt, and E^-1, built
+from it, on the first batch with no erasure.
 """
 from __future__ import annotations
 
@@ -166,29 +169,23 @@ class CipherContext:
         self, received: np.ndarray, syndromes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Messages and ambiguity flags of (batch, N) received blocks: int8
-        with ``-1`` for an erasure, or uint8 bits, read as they are."""
+        with ``-1`` for an erasure, or uint8 bits, read as they are.  A batch
+        with no erasure is one product by E^-1; a batch with any erasure
+        runs SC on every block, then one product by S^-1."""
         received = np.asarray(received)
-        bits = received.dtype == np.uint8  # so no erasure to scan for
-        if not bits:
+        if received.dtype != np.uint8:  # uint8 bits hold no erasure to scan for
             received = received.astype(np.int8, copy=False)
         if received.ndim != 2 or received.shape[1] != self.block_length:
             raise ValueError(f"received must be (batch, {self.block_length})")
         syndromes = np.asarray(syndromes, dtype=np.int8)
         if syndromes.shape != (len(received), self.block_length - self.num_info):
             raise ValueError("syndromes must be (batch, N - K)")
-        erased = np.zeros(len(received), dtype=bool) if bits else (received < 0).any(axis=1)
-        ambiguous = np.zeros(len(received), dtype=bool)
-        if not erased.any():  # [M, s] = C E^-1, on the batch as it is
+        if received.dtype == np.uint8 or not (received < 0).any():  # [M, s] = C E^-1
             m_s = mul_bits_matrix(received.view(np.uint8), self._decryption_map)
+            ambiguous = np.zeros(len(received), dtype=bool)
             return np.ascontiguousarray(m_s[:, : self.num_info]), ambiguous  # frees the s half
-        messages = np.empty((len(received), self.num_info), dtype=np.uint8)
-        if not erased.all():
-            messages[~erased] = self.decrypt_blocks_with_syndromes(
-                received[~erased], syndromes[~erased])[0]
-        scrambled, ambiguous[erased] = sc_decode_batch(
-            received[erased][:, self.perm_dst], self.plan, syndromes[erased])
-        messages[erased] = mul_bits_matrix(scrambled, self.scrambler_inv)
-        return messages, ambiguous
+        scrambled, ambiguous = sc_decode_batch(received[:, self.perm_dst], self.plan, syndromes)
+        return mul_bits_matrix(scrambled, self.scrambler_inv), ambiguous
 
     # ---- stateful session API ----------------------------------------
 

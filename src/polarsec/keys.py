@@ -495,7 +495,7 @@ def generate_key(params: KeyParams, rng: np.random.Generator) -> SecretKey:
     )
 
 
-def validate_key(key: SecretKey, table: ReliabilityTable | None = None) -> None:
+def validate_key(key: SecretKey) -> None:
     """Check every key invariant; raises ``KeyFormatError`` on failure."""
     p = key.params
     idx = np.asarray(key.info_indices, dtype=np.int64)
@@ -505,9 +505,7 @@ def validate_key(key: SecretKey, table: ReliabilityTable | None = None) -> None:
         raise KeyFormatError("secret indices must be strictly ascending")
     if idx.min() < 1 or idx.max() > p.block_length:
         raise KeyFormatError(f"secret indices must lie in 1..{p.block_length}")
-    if table is None:
-        table = p.reliability_table()
-    outside = idx[~np.isin(idx, table.pi[: p.pool])]
+    outside = idx[~np.isin(idx, p.reliability_table().pi[: p.pool])]
     if outside.size:
         raise KeyFormatError(
             f"secret indices {outside[:4].tolist()}... fall outside the {p.pool}-channel pool"

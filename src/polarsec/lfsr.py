@@ -160,8 +160,8 @@ def _advance(taps: tuple[int, ...], fills: np.ndarray, blocks: int) -> np.ndarra
     return fills
 
 
-def lfsr_period(taps: tuple[int, ...], seed: np.ndarray | None = None) -> int:
-    """Length of the state cycle containing ``seed`` (default ``0...01``).
+def lfsr_period(taps: tuple[int, ...]) -> int:
+    """Length of the state cycle containing ``0...01``.
 
     Brute force over integer states; restricted to small degrees.
     """
@@ -170,14 +170,7 @@ def lfsr_period(taps: tuple[int, ...], seed: np.ndarray | None = None) -> int:
     if m > _PRIMITIVITY_CHECK_LIMIT:
         raise ValueError(f"period brute force is limited to degree <= {_PRIMITIVITY_CHECK_LIMIT}")
     fb_mask = sum(1 << t for t in (0, *taps[1:]))
-    if seed is None:
-        start = 1 << (m - 1)  # state (0, ..., 0, 1)
-    else:
-        seed = np.asarray(seed, dtype=np.uint8)
-        start = int(sum(int(b) << i for i, b in enumerate(seed)))
-    if start == 0:
-        raise ValueError("seed must be non-zero")
-    state = start
+    state = start = 1 << (m - 1)  # state (0, ..., 0, 1)
     period = 0
     while True:
         fb = (state & fb_mask).bit_count() & 1

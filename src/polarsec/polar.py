@@ -87,11 +87,10 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     Works on any leading batch shape; the last axis length must be a
     power of two.  Runs the in-place butterfly, N log N bit operations.
     """
-    u = np.asarray(u, dtype=np.uint8)
-    size = u.shape[-1]
+    x = np.array(u, dtype=np.uint8, order="C")  # the one copy, worked in place
+    size = x.shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    x = np.ascontiguousarray(u).copy()
     span = size // 2
     while span:
         v = x.reshape(x.shape[:-1] + (size // (2 * span), 2, span))
@@ -117,7 +116,7 @@ def bec_transmit(x: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.
     if epsilon == 0.0:
         return x.copy()
     mask = rng.random(x.shape) < epsilon
-    return np.where(mask, ERASED, x).astype(np.int8)
+    return np.where(mask, ERASED, x)
 
 
 # ---------------------------------------------------------------------------
@@ -126,46 +125,40 @@ def bec_transmit(x: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class FrozenPlan:
-    """Partition of positions ``1..N`` into information and frozen sets.
+    """Partition of positions ``0..N-1`` into information and frozen sets,
+    built and checked by :meth:`from_info_set` only.
 
     Attributes
     ----------
     n : int
         log2 of the block length.
-    info_indices : ndarray
-        Ascending 1-based information positions (length K).
-    frozen_indices : ndarray
-        Ascending 1-based frozen positions (length N - K).
+    info0 : ndarray
+        Ascending 0-based information positions (length K), read-only.
+    frozen0 : ndarray
+        Ascending 0-based frozen positions (length N - K), read-only.
+    frozen_mask : ndarray
+        (N,) bool, True at the frozen positions, read-only.
     """
 
     n: int
-    info_indices: np.ndarray = field(repr=False)
-    frozen_indices: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        size = 1 << self.n
-        info = np.asarray(self.info_indices, dtype=np.int64)
-        frozen = np.asarray(self.frozen_indices, dtype=np.int64)
-        object.__setattr__(self, "info_indices", info)
-        object.__setattr__(self, "frozen_indices", frozen)
-        if info.size + frozen.size != size:
-            raise ValueError("information and frozen sets must partition 1..N")
-        if info.size and (np.any(np.diff(info) <= 0) or info.min() < 1 or info.max() > size):
-            raise ValueError("info_indices must be strictly ascending within 1..N")
-        if frozen.size and (np.any(np.diff(frozen) <= 0) or frozen.min() < 1 or frozen.max() > size):
-            raise ValueError("frozen_indices must be strictly ascending within 1..N")
-        merged = np.concatenate([info, frozen])
-        if np.unique(merged).size != size:
-            raise ValueError("information and frozen sets overlap")
+    info0: np.ndarray = field(repr=False)
+    frozen0: np.ndarray = field(repr=False)
+    frozen_mask: np.ndarray = field(repr=False)
 
     @classmethod
     def from_info_set(cls, n: int, info_indices: np.ndarray) -> "FrozenPlan":
+        """The plan whose information positions are the 1-based
+        ``info_indices``, strictly ascending within 1..N."""
         size = 1 << n
-        info = np.asarray(info_indices, dtype=np.int64)
-        mask = np.ones(size + 1, dtype=bool)
-        mask[0] = False
-        mask[info] = False
-        return cls(n=n, info_indices=info, frozen_indices=np.nonzero(mask)[0])
+        info0 = np.asarray(info_indices, dtype=np.int64) - 1
+        if info0.ndim != 1 or np.any(np.diff(info0) <= 0) or np.any((info0 < 0) | (info0 >= size)):
+            raise ValueError("info_indices must be strictly ascending within 1..N")
+        frozen_mask = np.ones(size, dtype=bool)
+        frozen_mask[info0] = False
+        frozen0 = np.flatnonzero(frozen_mask)
+        for array in (info0, frozen0, frozen_mask):
+            array.setflags(write=False)
+        return cls(n, info0, frozen0, frozen_mask)
 
     @property
     def block_length(self) -> int:
@@ -173,17 +166,7 @@ class FrozenPlan:
 
     @property
     def num_info(self) -> int:
-        return int(self.info_indices.size)
-
-    @property
-    def info0(self) -> np.ndarray:
-        """0-based information positions."""
-        return self.info_indices - 1
-
-    @property
-    def frozen0(self) -> np.ndarray:
-        """0-based frozen positions."""
-        return self.frozen_indices - 1
+        return int(self.info0.size)
 
 
 def top_indices(table: ReliabilityTable, k: int) -> np.ndarray:
@@ -284,10 +267,8 @@ def sc_decode_batch(
         if frozen_values.shape != (batch, plan.frozen0.size):
             raise ValueError("frozen_values must be (batch, N - K)")
         u[plan.frozen0] = _bit_planes(frozen_values != 0)
-    frozen_mask = np.zeros(plan.block_length, dtype=bool)
-    frozen_mask[plan.frozen0] = True
     ambiguous = np.zeros(known.shape[1], dtype=np.uint8)
-    _sc_planes(known, val, 0, frozen_mask, u, ambiguous)
+    _sc_planes(known, val, 0, plan.frozen_mask, u, ambiguous)
     info = np.unpackbits(u[plan.info0].T, axis=0, count=batch)
     return info, np.unpackbits(ambiguous, count=batch).astype(bool)
 

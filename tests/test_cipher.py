@@ -17,7 +17,7 @@ from polarsec.cipher import (
     unframe_plaintext,
     unpack_ciphertext,
 )
-from polarsec.gf2 import GF2Matrix, mul_bits_matrix
+from polarsec.gf2 import GF2Matrix, mul_bits_matrix, pack_rows, rref, unpack_rows
 from polarsec.keys import (
     KeyParams,
     deserialize_key,
@@ -261,11 +261,12 @@ def layered_decrypt(ctx, received, syndromes):
 @given(which=st.sampled_from(["small", "toy", "reference"]), batch=st.integers(1, 40),
        rate=st.sampled_from([0.0, 1.0]) | st.floats(0.002, 0.2),
        seed=st.integers(0, 2**32 - 1))
-def test_decrypt_split_matches_sc_on_every_block(key, other_key, reference_key, which, batch,
-                                                 rate, seed):
-    # clean blocks take one product by E^-1 and skip SC; all-clean, all-erased
-    # and mixed batches must decode exactly as the layered reference and as
-    # SC over every block do
+def test_decrypt_path_per_batch_matches_sc_on_every_block(key, other_key, reference_key,
+                                                          which, batch, rate, seed):
+    # a batch with no erasure takes one product by E^-1 and skips SC, and a
+    # batch with any erasure runs SC on every block; all-clean, all-erased
+    # and mixed batches must decode exactly as the layered reference (the
+    # transform read-off on each clean block) and as SC over every block do
     ctx = {"small": lambda: CipherContext(key), "toy": TOY.context,
            "reference": lambda: CipherContext(reference_key)}[which]()
     rng = np.random.default_rng(seed)
@@ -302,6 +303,24 @@ def test_syndrome_half_of_the_inverse_checks_the_stream(key, reference_key):
         assert np.array_equal(m_s[:, num_info:], syn)
     wrong = mul_bits_matrix(CipherContext(wrong_key, start_block=77).encrypt_blocks(msgs), e_inv)
     assert not (wrong[:, num_info:] == syn).all(axis=1).any()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_known_pairs_read_off_the_decryption_map(seed):
+    # M is the first K coordinates of C E^-1 whatever the syndrome, so
+    # decryption is a fixed linear map: known pairs whose ciphertexts span
+    # GF(2)^N give it by one elimination of [C | M], at the reference
+    # parameters and from any point of the stream
+    key = generate_key(reference_params(), derive_rng(seed, "kpa"))
+    size, k = key.params.block_length, key.params.num_info
+    msgs = derive_rng(seed, "kpa-messages").integers(0, 2, size=(1050, k), dtype=np.uint8)
+    ct = CipherContext(key, start_block=12_345).encrypt_blocks(msgs)
+    reduced, pivots = rref(pack_rows(np.hstack([ct[:1040], msgs[:1040]])), size)
+    assert pivots.size == size
+    read_off = unpack_rows(reduced[:size], size + k)[:, size:]
+    assert np.array_equal(read_off, CipherContext(key)._decryption_map.to_dense()[:, :k])
+    held_out = mul_bits_matrix(ct[1040:], GF2Matrix.from_dense(read_off))
+    assert np.array_equal(held_out, msgs[1040:])
 
 
 def test_decrypt_rejects_syndromes_of_the_wrong_shape(key):
@@ -388,7 +407,7 @@ def test_toy_instance_of_key_components_matches_key(key):
     assert np.array_equal(clone.context(start_block=9).encrypt_blocks(msgs), ct)
     assert clone.true_matrix == CipherContext(key).encryption_matrix()
     received = ct.astype(np.int8)
-    received[0, 0] = ERASED  # one block through SC and S^-1, the rest through E^-1
+    received[0, 0] = ERASED  # one erased block sends the whole batch through SC and S^-1
     for session in (CipherContext(key, 9), clone.context(9)):
         out, amb = session.decrypt_blocks(received)
         assert np.array_equal(out[1:], msgs[1:]) and not amb[1:].any()
@@ -396,9 +415,12 @@ def test_toy_instance_of_key_components_matches_key(key):
 
 
 @pytest.mark.parametrize("perm_dst", [np.arange(12), np.array([0, 1, 2, 2]),
-                                      np.array([0, 1, 2, 4]), np.arange(8).reshape(2, 4)])
+                                      np.array([0, 1, 2, 4]), np.arange(8).reshape(2, 4),
+                                      np.array([1, 0])])
 def test_context_rejects_bad_shapes(perm_dst):
+    # the toy's information set is {1, 4}: at N = 2 index 4 lies above N
     toy = build_toy_instance(2, 2, seed=5)
+    assert toy.info_indices.tolist() == [1, 4]
     bad = ToyInstance(toy.num_info, toy.taps, toy.info_indices, toy.scrambler,
                       perm_dst, toy.lfsr_state)
     with pytest.raises(ValueError):

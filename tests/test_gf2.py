@@ -153,7 +153,7 @@ def test_inverse_is_singular_exactly_below_full_rank(dense):
     assert np.array_equal((dense.astype(np.int64) @ inv) % 2, np.eye(n, dtype=np.int64))
 
 
-def test_row_and_col_weights():
+def test_packing_keeps_row_and_col_weights():
     rng = np.random.default_rng(63)
     dense = rng.integers(0, 2, size=(21, 90), dtype=np.uint8)
     m = GF2Matrix.from_dense(dense)
@@ -161,7 +161,7 @@ def test_row_and_col_weights():
     assert np.array_equal(m.to_dense().sum(axis=0), dense.sum(axis=0))
 
 
-def test_vecmat_matches_dense_reference():
+def test_one_vector_product_matches_dense_reference():
     # a batch of one vector takes the row-XOR path of mul_bits_matrix
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -171,7 +171,7 @@ def test_vecmat_matches_dense_reference():
         assert np.array_equal(got, (v.astype(np.int64) @ a) % 2)
 
 
-def test_mul_bits_matrix_matches_vecmat():
+def test_batch_product_matches_one_vector_products():
     # the table path for a batch agrees with the row-XOR path, vector by vector
     rng = np.random.default_rng(404)
     a = rng.integers(0, 2, size=(48, 48), dtype=np.uint8)

@@ -40,8 +40,8 @@ def run_workload(tree, workload: str, trace: int) -> None:
     assert verdict["failed"] == 0
 
 
-@pytest.mark.parametrize("workload", ["bulk_encrypt", "bulk_decrypt", "toy_recover",
-                                      "toy_refute"])
+@pytest.mark.parametrize("workload", ["bulk_encrypt", "bulk_decrypt", "noisy_channel",
+                                      "toy_recover", "toy_refute"])
 def test_traced_replay_is_correct(tree, workload):
     run_workload(tree, workload, trace=1)
 

@@ -1,5 +1,6 @@
 """Polar code construction, the butterfly transform, and SC decoding."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +205,27 @@ def test_per_block_frozen_values_override():
     got, amb = sc_decode_batch(y, plan, frozen_values=frozen)
     assert not amb.any()
     assert np.array_equal(got, msgs)
+
+
+def test_plan_is_a_read_only_partition():
+    info = np.array([4, 6, 7, 8])
+    plan = FrozenPlan.from_info_set(3, info)
+    assert plan.info0.tolist() == [3, 5, 6, 7]
+    assert plan.frozen0.tolist() == [0, 1, 2, 4]
+    assert np.array_equal(np.flatnonzero(plan.frozen_mask), plan.frozen0)
+    assert (plan.num_info, plan.block_length) == (4, 8)
+    for array in (plan.info0, plan.frozen0, plan.frozen_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    assert info.flags.writeable
+
+
+@pytest.mark.parametrize("n, info", [(3, [1, 2, 9]), (3, [0, 1]), (3, [2, 1]), (3, [1, 1]),
+                                     (2, [[1, 2]]), (0, [2])],
+                         ids=["above_n", "zero", "descending", "repeated", "two_d", "n_zero"])
+def test_plan_rejects_indices_not_ascending_within_one_to_n(n, info):
+    with pytest.raises(ValueError, match=r"strictly ascending within 1\.\.N"):
+        FrozenPlan.from_info_set(n, np.array(info))
 
 
 def test_exhaustive_ambiguity_half_erasure_worst_channel():
