@@ -65,7 +65,8 @@ _LAZY = {
         (
             "AttackInfeasibleError", "AttackResult", "CostPoint", "EncryptionOracle",
             "ErrorSpace", "PartialErrorSpaceWarning", "ToyInstance", "attack_cost_curve",
-            "attack_decrypt", "build_toy_instance", "collect_error_space", "rn_attack",
+            "attack_decrypt", "build_toy_instance", "collect_error_space", "linear_kpa",
+            "rn_attack",
         ),
         "attacks",
     ),
@@ -129,6 +130,7 @@ __all__ = [
     "kernel_power",
     "key_size_report",
     "lfsr_period",
+    "linear_kpa",
     "pack_ciphertext",
     "parse_seed",
     "perturbation_weight_stats",

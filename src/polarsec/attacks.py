@@ -1,4 +1,10 @@
-"""Chosen-plaintext attack harness at toy scale.
+"""Attacks on the cipher: a linear known-plaintext attack at any
+parameters, and a chosen-plaintext harness at toy scale.
+
+Decryption is one fixed linear map whatever the syndrome: M is the first
+K coordinates of C E^-1 (see :mod:`.cipher`).  :func:`linear_kpa` reads
+that map off known pairs whose ciphertexts span GF(2)^N, about N of
+them, with one elimination; it breaks the reference parameters.
 
 The attack targets the one-block relation ``C = M G' + e P`` where
 ``G' = S G_A P`` is the effective encryption matrix and ``e`` ranges
@@ -16,8 +22,9 @@ drawing syndromes uniformly (zero included) every coset representative
 explains the observations equally well and the candidate set cannot be
 reduced — the harness reports that outcome honestly instead of guessing.
 
-Everything here is deliberately restricted to toy parameters: the work
-factor grows as 2^(N-K) per row, which is the point being demonstrated.
+The chosen-plaintext harness is deliberately restricted to toy
+parameters: its work factor grows as 2^(N-K) per row, which is the point
+being demonstrated.
 """
 from __future__ import annotations
 
@@ -463,6 +470,32 @@ def attack_decrypt(
     if np.array_equal(combo[:n], ct) and combo[n + k:].any():
         return [combo[n : n + k]]
     return []
+
+
+# ---------------------------------------------------------------------------
+# known plaintext
+# ---------------------------------------------------------------------------
+
+def linear_kpa(messages: np.ndarray, ciphertexts: np.ndarray) -> GF2Matrix:
+    """The (N, K) decryption map D with ``M = C D`` for every known pair,
+    the first K columns of E^-1.  One :func:`~polarsec.gf2.rref` of the
+    stacked pairs [C | M] reduces the C half to the identity, and the M
+    half of its first N rows is D.
+
+    Raises ``ValueError`` when the ciphertexts span less than GF(2)^N, or
+    when no linear map takes every ciphertext to its message.
+    """
+    messages = np.asarray(messages, dtype=np.uint8)
+    ciphertexts = np.asarray(ciphertexts, dtype=np.uint8)
+    if messages.ndim != 2 or ciphertexts.ndim != 2 or len(messages) != len(ciphertexts):
+        raise ValueError("need (pairs, K) messages and (pairs, N) ciphertexts")
+    size, k = ciphertexts.shape[1], messages.shape[1]
+    reduced, pivots = rref(pack_rows(np.hstack([ciphertexts, messages])), size)
+    if pivots.size < size:
+        raise ValueError(f"the ciphertexts span rank {pivots.size} < N = {size}")
+    if reduced[size:].any():  # a zero ciphertext combination with a nonzero message
+        raise ValueError("no linear map takes every ciphertext to its message")
+    return GF2Matrix.from_dense(unpack_rows(reduced[:size], size + k)[:, size:])
 
 
 # ---------------------------------------------------------------------------

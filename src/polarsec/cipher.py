@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import GF2Matrix, mul_bits_matrix, pack_rows
+from .gf2 import GF2Matrix, mul_bits_matrix, mul_bits_words, pack_rows, unpack_rows
 from .keys import SecretKey
 from .lfsr import Lfsr
 from .polar import FrozenPlan, sc_decode_batch
@@ -181,9 +181,8 @@ class CipherContext:
         if syndromes.shape != (len(received), self.block_length - self.num_info):
             raise ValueError("syndromes must be (batch, N - K)")
         if received.dtype == np.uint8 or not (received < 0).any():  # [M, s] = C E^-1
-            m_s = mul_bits_matrix(received.view(np.uint8), self._decryption_map)
-            ambiguous = np.zeros(len(received), dtype=bool)
-            return np.ascontiguousarray(m_s[:, : self.num_info]), ambiguous  # frees the s half
+            m_s = mul_bits_words(received.view(np.uint8), self._decryption_map)
+            return unpack_rows(m_s, self.num_info), np.zeros(len(received), dtype=bool)
         scrambled, ambiguous = sc_decode_batch(received[:, self.perm_dst], self.plan, syndromes)
         return mul_bits_matrix(scrambled, self.scrambler_inv), ambiguous
 

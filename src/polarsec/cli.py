@@ -323,7 +323,7 @@ def cmd_attack_rn(args) -> int:
         print(
             f"refusal: N - K = {gap} with K = {k} puts chosen-plaintext "
             f"recovery at Omega(2^((N-K)K)) = Omega(2^{gap * k}) operations; "
-            f"only toy parameters with N - K <= {DEFAULT_MAX_GAP} are attackable",
+            f"it stops at N - K = {DEFAULT_MAX_GAP}; known pairs break any key (linear_kpa)",
             file=sys.stderr,
         )
         return EXIT_REFUSAL

@@ -4,8 +4,8 @@ Matrices are stored row-major with each row packed into 64-bit words,
 little-endian bit order (bit ``j`` of a row lives in word ``j // 64`` at
 bit position ``j % 64``).  All arithmetic is XOR based: one Gauss-Jordan
 routine (:func:`rref`) behind rank, pivot columns and the inverse, and
-one product, :func:`mul_bits_matrix`: the XOR of the selected rows for a
-single vector, Four-Russians tables for a batch.
+one product, :func:`mul_bits_words`: the XOR of the selected rows for a
+single vector, Four-Russians tables for a batch, by nibble or by byte.
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 
 WORD_BITS = 64
+# From this batch size up, byte tables built per product beat cached nibble tables.
+BYTE_TABLE_MIN_BATCH = 1024
 
 
 class SingularMatrixError(ValueError):
@@ -92,15 +94,8 @@ class GF2Matrix:
 
     @cached_property
     def tables(self) -> np.ndarray:
-        """Four-Russians tables, built on first product: row ``16 c + t`` is
-        the XOR of rows ``4 c + j`` over the bits ``j`` of ``t``, with the
-        rows zero-padded to a multiple of 8."""
-        rows = np.zeros((-(-self.nrows // 8) * 8, self.words.shape[1]), dtype=np.uint64)
-        rows[: self.nrows] = self.words
-        tables = np.zeros((len(rows) // 4, 16, rows.shape[1]), dtype=np.uint64)
-        for j in range(4):
-            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::4, None]
-        return tables.reshape(-1, rows.shape[1])
+        """Nibble tables, built on the first product of a small batch."""
+        return _tables(self.words, 4)
 
     # ---- elimination --------------------------------------------------
 
@@ -173,11 +168,22 @@ def rref(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     return work, np.asarray(found, dtype=np.int64)
 
 
-def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
-    """Batch row-vector product ``V @ m`` over GF(2).  One vector is the
-    XOR of the rows it selects, with no tables built; in a larger batch
-    each nibble of a packed vector picks one row of ``m.tables``, 64
-    vectors at a time.
+def _tables(words: np.ndarray, width: int) -> np.ndarray:
+    """Four-Russians tables: row ``2**width c + t`` is the XOR of rows
+    ``width c + j`` over the bits ``j`` of ``t`` (rows padded to 8k)."""
+    rows = np.zeros((-(-len(words) // 8) * 8, words.shape[1]), dtype=np.uint64)
+    rows[: len(words)] = words
+    tables = np.zeros((len(rows) // width, 1 << width, rows.shape[1]), dtype=np.uint64)
+    for j in range(width):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ rows[j::width, None]
+    return tables.reshape(-1, rows.shape[1])
+
+
+def mul_bits_words(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
+    """Batch row-vector product ``V @ m`` over GF(2), packed.  One vector is
+    the XOR of its rows; in a batch each nibble picks a row of ``m.tables``,
+    64 vectors at a time, or from :data:`BYTE_TABLE_MIN_BATCH` vectors up
+    each byte picks a row of tables built for this product only, 128 at a time.
 
     Parameters
     ----------
@@ -188,19 +194,31 @@ def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
     Returns
     -------
     ndarray
-        (batch, ncols) uint8 array.
+        (batch, words) uint64 array, rows packed as in :func:`pack_rows`.
     """
     v_batch = np.asarray(v_batch, dtype=np.uint8)
     if v_batch.ndim != 2 or v_batch.shape[1] != m.nrows:
         raise ValueError("batch shape does not match matrix rows")
-    if len(v_batch) == 1:
-        picked = m.words[v_batch[0].astype(bool)]
-        return unpack_rows(np.bitwise_xor.reduce(picked, axis=0, keepdims=True), m.ncols)
-    packed = np.packbits(v_batch, axis=1, bitorder="little")
-    offsets = 16 * np.arange(2 * packed.shape[1])[:, None]
-    nibbles = np.stack([packed & 15, packed >> 4], axis=2).reshape(len(packed), len(offsets))
-    out = np.empty((len(packed), m.words.shape[1]), dtype=np.uint64)
-    for lo in range(0, len(packed), 64):
-        picked = m.tables[offsets + nibbles[lo : lo + 64].T]  # (groups, rows, words)
-        out[lo : lo + 64] = np.bitwise_xor.reduce(picked, axis=0)
-    return unpack_rows(out, m.ncols)
+    if len(v_batch) < 2:  # no tables: the XOR of the rows one vector selects, or none
+        picked = m.words[v_batch.any(axis=0)]
+        return np.bitwise_xor.reduce(picked, axis=0, keepdims=True)[: len(v_batch)]
+    out = np.empty((len(v_batch), m.words.shape[1]), dtype=np.uint64)
+    index = np.packbits(v_batch, axis=1, bitorder="little")
+    if len(index) >= BYTE_TABLE_MIN_BATCH:
+        width, tables, chunk = 8, _tables(m.words, 8), 128
+    else:
+        width, tables, chunk = 4, m.tables, 64
+        index = np.stack([index & 15, index >> 4], axis=2).reshape(len(index), -1)
+    offsets = np.arange(index.shape[1])[:, None] << width
+    # one item per table row, so that take copies whole rows
+    items = tables.view(np.dtype((np.void, tables.itemsize * tables.shape[1]))).ravel()
+    for lo in range(0, len(index), chunk):
+        part = index[lo : lo + chunk].T  # (groups, vectors)
+        picked = items.take(offsets + part).view(np.uint64).reshape(*part.shape, out.shape[1])
+        np.bitwise_xor.reduce(picked, axis=0, out=out[lo : lo + chunk])
+    return out
+
+
+def mul_bits_matrix(v_batch: np.ndarray, m: GF2Matrix) -> np.ndarray:
+    """:func:`mul_bits_words`, unpacked: a (batch, ncols) uint8 array."""
+    return unpack_rows(mul_bits_words(v_batch, m), m.ncols)

@@ -19,7 +19,7 @@ import operator
 
 import numpy as np
 
-from .gf2 import GF2Matrix, mul_bits_matrix
+from .gf2 import GF2Matrix, mul_bits_matrix, mul_bits_words
 
 # Maximal-length tap sets by degree (feedback polynomial exponents).
 # Degrees <= 16 are verified primitive by exhaustive period check in the
@@ -140,7 +140,7 @@ def _step_power(taps: tuple[int, ...], i: int) -> GF2Matrix:
     at once, as in :meth:`Lfsr.clock`)."""
     if i:
         half = _step_power(taps, i - 1)
-        power = GF2Matrix.from_dense(mul_bits_matrix(half.to_dense(), half))
+        power = GF2Matrix(half.nrows, half.ncols, mul_bits_words(half.to_dense(), half))
     else:
         fills = np.eye(taps[0], dtype=np.uint8)
         for _ in range(taps[0]):

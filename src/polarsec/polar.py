@@ -123,7 +123,7 @@ def bec_transmit(x: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.
 # frozen-set bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenPlan:
     """Partition of positions ``0..N-1`` into information and frozen sets,
     built and checked by :meth:`from_info_set` only.
@@ -159,6 +159,14 @@ class FrozenPlan:
         for array in (info0, frozen0, frozen_mask):
             array.setflags(write=False)
         return cls(n, info0, frozen0, frozen_mask)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrozenPlan):
+            return NotImplemented
+        return self.n == other.n and bool(np.array_equal(self.info0, other.info0))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.info0.tobytes()))
 
     @property
     def block_length(self) -> int:

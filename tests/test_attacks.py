@@ -18,6 +18,7 @@ from polarsec.attacks import (
     attack_decrypt,
     build_toy_instance,
     collect_error_space,
+    linear_kpa,
     rn_attack,
     span_members,
 )
@@ -262,6 +263,25 @@ def test_recovers_more_rows_than_array_dimensions():
     result = rn_attack(toy.oracle(mode="lfsr"), rng=derive_rng(0, "verify"))
     assert result.verified
     assert result.recovered_gprime == toy.true_matrix
+
+
+def test_linear_kpa_needs_spanning_and_consistent_pairs():
+    # the toy key's decryption map from 40 known pairs; fewer than N
+    # ciphertexts cannot span GF(2)^N, and one wrong message leaves a zero
+    # ciphertext combination with a nonzero message
+    msgs = derive_rng(5, "kpa").integers(0, 2, size=(40, TOY.num_info), dtype=np.uint8)
+    ct = TOY.context(start_block=9).encrypt_blocks(msgs)
+    read_off = linear_kpa(msgs, ct)
+    e_inv = TOY.context()._decryption_map.to_dense()
+    assert np.array_equal(read_off.to_dense(), e_inv[:, : TOY.num_info])
+    with pytest.raises(ValueError, match="rank"):
+        linear_kpa(msgs[:7], ct[:7])
+    wrong = msgs.copy()
+    wrong[-1, 0] ^= 1
+    with pytest.raises(ValueError, match="no linear map"):
+        linear_kpa(wrong, ct)
+    with pytest.raises(ValueError, match="pairs"):
+        linear_kpa(msgs[:-1], ct)
 
 
 def test_cost_curve_grows_with_gap():

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarsec.cipher import CipherContext
 from polarsec.gf2 import (
+    BYTE_TABLE_MIN_BATCH,
     GF2Matrix,
     SingularMatrixError,
     mul_bits_matrix,
+    mul_bits_words,
     pack_rows,
     rref,
     unpack_rows,
 )
+from polarsec.keys import generate_key, reference_params
+from polarsec.rng import derive_rng
 
 
 def dense_pivots(a: np.ndarray) -> list[int]:
@@ -201,6 +206,49 @@ def test_mul_bits_matrix_matches_dense_product(cols, seed):
             got = mul_bits_matrix(v, m)
             assert got.dtype == np.uint8
             assert np.array_equal(got, (v.astype(np.int64) @ a) % 2)
+
+
+def test_byte_tables_match_dense_product_and_are_not_kept():
+    # batches just below, at and above the crossover to byte tables (the
+    # last one ends in a partial chunk), over 0 rows and row counts that
+    # are not a multiple of 8; only the small batch caches its tables
+    rng = np.random.default_rng(31)
+    for rows in (0, 1, 7, 9, 63, 130):
+        for cols in (1, 64, 65):
+            a = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            m = GF2Matrix.from_dense(a)
+            m.words.setflags(write=False)
+            for batch in (BYTE_TABLE_MIN_BATCH + 129, BYTE_TABLE_MIN_BATCH,
+                          BYTE_TABLE_MIN_BATCH - 1):
+                v = rng.integers(0, 2, size=(batch, rows), dtype=np.uint8)
+                got = mul_bits_words(v, m)
+                assert ("tables" in m.__dict__) == (batch < BYTE_TABLE_MIN_BATCH)
+                assert got.shape == (batch, m.words.shape[1])
+                assert np.array_equal(unpack_rows(got, cols), (v.astype(np.int64) @ a) % 2)
+
+
+@pytest.fixture(scope="module")
+def reference_maps():
+    ctx = CipherContext(generate_key(reference_params(), derive_rng(4, "keygen")))
+    return [(m, m.to_dense().astype(np.float32))
+            for m in (ctx._encryption_map, ctx._decryption_map)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_byte_path_matches_nibble_path_at_reference_maps(reference_maps, extra, seed):
+    # E and E^-1: a batch past the crossover (byte tables) equals the same
+    # rows in two halves below it (nibble tables), the dense product, and
+    # the one-vector path, row by row
+    batch = BYTE_TABLE_MIN_BATCH + extra
+    v = np.random.default_rng(seed).integers(0, 2, size=(batch, 1024), dtype=np.uint8)
+    for m, dense in reference_maps:
+        byte = mul_bits_words(v, m)
+        nibble = np.vstack([mul_bits_words(half, m) for half in np.array_split(v, 2)])
+        assert np.array_equal(byte, nibble)
+        assert np.array_equal(unpack_rows(byte, 1024), (v.astype(np.float32) @ dense) % 2)
+        for i in (0, batch // 2, batch - 1):
+            assert np.array_equal(mul_bits_words(v[i : i + 1], m), byte[i : i + 1])
 
 
 def test_equality_and_copy():

@@ -348,6 +348,7 @@ def test_key_life_cycle_runs_no_elimination(monkeypatch):
     for name in ("rank", "pivots", "inverse"):
         monkeypatch.setattr(GF2Matrix, name, refuse)
     monkeypatch.setattr(GF2Matrix, "tables", property(refuse))
+    monkeypatch.setattr(gf2, "_tables", refuse)
     key = generate_key(reference_params(), derive_rng(3, "keygen"))
     assert deserialize_key(serialize_key(key)) == key
 

@@ -228,6 +228,15 @@ def test_plan_rejects_indices_not_ascending_within_one_to_n(n, info):
         FrozenPlan.from_info_set(n, np.array(info))
 
 
+def test_plans_compare_and_hash_by_n_and_info_set():
+    plan = FrozenPlan.from_info_set(2, [1, 4])
+    same = FrozenPlan.from_info_set(2, np.array([1, 4]))
+    assert plan == same and hash(plan) == hash(same) and len({plan, same}) == 1
+    for other in (FrozenPlan.from_info_set(2, [1, 3]), FrozenPlan.from_info_set(3, [1, 4]),
+                  FrozenPlan.from_info_set(2, [1]), (2, [1, 4])):
+        assert plan != other
+
+
 def test_exhaustive_ambiguity_half_erasure_worst_channel():
     # information set {4} at epsilon = 1/2: failure exactly when the
     # last synthetic channel erases, probability z_4 = 1/16
